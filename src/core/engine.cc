@@ -5,6 +5,7 @@
 
 #include "cluster/cluster.h"
 #include "core/simulator.h"
+#include "core/ttl.h"
 
 namespace phoebe::core {
 
@@ -49,6 +50,22 @@ DecisionEngine::DecisionEngine(std::shared_ptr<const PipelineBundle> bundle,
     m.batches = metrics->counter(base + ".inference.batches");
   }
 }
+
+namespace {
+
+bool IsMlSource(CostSource source) {
+  return source == CostSource::kMlSimulator || source == CostSource::kMlStacked;
+}
+
+/// Inference-batch telemetry: one `rows` observation per model call, sized
+/// by the rows that call scored, and the call count.
+void RecordModelCalls(obs::Histogram* rows, obs::Counter* calls,
+                      const PredictScratch& scratch) {
+  for (size_t n : scratch.call_rows) obs::Observe(rows, static_cast<double>(n));
+  obs::Add(calls, static_cast<int64_t>(scratch.call_rows.size()));
+}
+
+}  // namespace
 
 Result<StageCosts> DecisionEngine::BuildCosts(const workload::JobInstance& job,
                                               CostSource source) const {
@@ -126,10 +143,8 @@ Status DecisionEngine::BuildCostsInto(const workload::JobInstance& job,
       bundle_->size_predictor().PredictJobInto(job, stats, &scratch->size_features,
                                                &out->output_bytes);
       infer_timer.Stop();
-      // Each PredictJobInto scores the job's stages as one batch.
-      obs::Observe(m.batch_stages, static_cast<double>(n));
-      obs::Observe(m.batch_stages, static_cast<double>(n));
-      obs::Add(m.batches, 2);
+      RecordModelCalls(m.batch_stages, m.batches, scratch->exec_features);
+      RecordModelCalls(m.batch_stages, m.batches, scratch->size_features);
       break;
     }
     case CostSource::kTruth:
@@ -150,8 +165,7 @@ Status DecisionEngine::BuildCostsInto(const workload::JobInstance& job,
     obs::ScopedTimer ttl_timer(m.infer_seconds);
     bundle_->ttl_estimator().PredictInto(job, sim, &scratch->ttl_features, &out->ttl);
     ttl_timer.Stop();
-    obs::Observe(m.batch_stages, static_cast<double>(n));
-    obs::Increment(m.batches);
+    RecordModelCalls(m.batch_stages, m.batches, scratch->ttl_features);
   } else {
     out->ttl.resize(n);
     for (size_t i = 0; i < n; ++i) {
@@ -229,8 +243,13 @@ Status DecisionEngine::DecideJobInto(const workload::JobInstance& job,
   obs::ScopedTimer decide_timer(metrics_for(options.source).decide_seconds);
   PHOEBE_RETURN_NOT_OK(
       BuildCostsInto(job, options.source, stats, scratch, &scratch->costs));
-  const StageCosts& costs = scratch->costs;
+  return OptimizeJobInto(job, scratch->costs, options, scratch, out);
+}
 
+Status DecisionEngine::OptimizeJobInto(const workload::JobInstance& job,
+                                       const StageCosts& costs,
+                                       const DecideOptions& options,
+                                       DecideScratch* scratch, FleetDecision* out) const {
   // Single-cut objectives: the optimizer writes the combined result in
   // place; the nested-cut list mirrors it, recycling its bitset.
   auto mirror_single_cut = [out] {
@@ -288,6 +307,137 @@ Status DecisionEngine::DecideJobInto(const workload::JobInstance& job,
     if (persisted[u]) out->combined.global_bytes += costs.output_bytes[u];
   }
   return Status::OK();
+}
+
+void DecisionEngine::DecideJobsInto(std::span<const workload::JobInstance* const> jobs,
+                                    const telemetry::HistoricStats& stats,
+                                    const DecideOptions& options,
+                                    DayDecideScratch* scratch,
+                                    std::span<JobDecision> slots) const {
+  PHOEBE_CHECK(slots.size() == jobs.size());
+  const size_t nj = jobs.size();
+  if (!IsMlSource(options.source)) {
+    for (size_t k = 0; k < nj; ++k) {
+      slots[k].status = DecideJobInto(*jobs[k], stats, options, &scratch->job,
+                                      &slots[k].decision);
+    }
+    return;
+  }
+  if (!bundle_->trained()) {
+    for (JobDecision& slot : slots) {
+      slot.status = Status::FailedPrecondition("pipeline not trained");
+    }
+    return;
+  }
+  const SourceMetrics& m = metrics_for(options.source);
+  const auto start = std::chrono::steady_clock::now();
+  const StageCostPredictor& exec_predictor = bundle_->exec_predictor();
+  const StageCostPredictor& size_predictor = bundle_->size_predictor();
+
+  // Phase 1: one stage matrix for the chunk, one model call per serving
+  // model for exec and for size.
+  obs::ScopedTimer infer_timer(m.infer_seconds);
+  std::vector<int>& types = scratch->exec.types;
+  scratch->first_row.resize(nj + 1);
+  scratch->exec.matrix.ClearRows();
+  types.clear();
+  for (size_t k = 0; k < nj; ++k) {
+    const workload::JobInstance& job = *jobs[k];
+    scratch->first_row[k] = types.size();
+    exec_predictor.featurizer().AppendJobRows(job, stats, &scratch->exec.row,
+                                              &scratch->exec.matrix);
+    for (size_t u = 0; u < job.graph.num_stages(); ++u) {
+      types.push_back(job.graph.stage(static_cast<dag::StageId>(u)).stage_type);
+    }
+  }
+  scratch->first_row[nj] = types.size();
+  const size_t nr = types.size();
+  exec_predictor.PredictMatrixInto(scratch->exec.matrix, types, &scratch->exec,
+                                   &scratch->exec_s);
+  const ml::FeatureMatrix* size_matrix = &scratch->exec.matrix;
+  if (size_predictor.featurizer().config() != exec_predictor.featurizer().config()) {
+    scratch->size.matrix.ClearRows();
+    for (size_t k = 0; k < nj; ++k) {
+      size_predictor.featurizer().AppendJobRows(*jobs[k], stats, &scratch->size.row,
+                                                &scratch->size.matrix);
+    }
+    size_matrix = &scratch->size.matrix;
+  }
+  size_predictor.PredictMatrixInto(*size_matrix, types, &scratch->size,
+                                   &scratch->output_bytes);
+  infer_timer.Stop();
+  RecordModelCalls(m.batch_stages, m.batches, scratch->exec);
+  RecordModelCalls(m.batch_stages, m.batches, scratch->size);
+
+  // Phase 2: simulate each job; ml_stacked stacks its TTL feature rows.
+  const bool stacked = options.source == CostSource::kMlStacked;
+  DecideScratch& js = scratch->job;
+  scratch->end_time.resize(nr);
+  scratch->tfs.resize(nr);
+  scratch->ttl_s.resize(nr);
+  scratch->job_end.resize(nj);
+  ml::FeatureMatrix& stacking = scratch->ttl.matrix;
+  stacking.ClearRows();
+  for (size_t k = 0; k < nj; ++k) {
+    const dag::JobGraph& graph = jobs[k]->graph;
+    const size_t r0 = scratch->first_row[k];
+    const size_t n = graph.num_stages();
+    slots[k].status = SimulateScheduleInto(
+        graph, std::span<const double>(scratch->exec_s.data() + r0, n), &js.sim_scratch,
+        &js.sim);
+    if (!slots[k].status.ok()) {
+      // A zero schedule keeps this job's rows aligned with the stage rows;
+      // phase 4 skips the job, so they are never read.
+      js.sim.start.assign(n, 0.0);
+      js.sim.end.assign(n, 0.0);
+      js.sim.job_end = 0.0;
+    }
+    const SimulatedSchedule& sim = js.sim;
+    scratch->job_end[k] = sim.job_end;
+    for (size_t u = 0; u < n; ++u) {
+      scratch->end_time[r0 + u] = sim.end[u];
+      scratch->tfs[r0 + u] = sim.start[u];
+      scratch->ttl_s[r0 + u] = sim.Ttl(static_cast<dag::StageId>(u));
+    }
+    if (stacked) TtlEstimator::AppendStackingRows(sim, &scratch->ttl.row, &stacking);
+  }
+
+  // Phase 3: one model call per TTL stacking model.
+  if (stacked) {
+    obs::ScopedTimer ttl_timer(m.infer_seconds);
+    bundle_->ttl_estimator().PredictMatrixInto(stacking, types, &scratch->ttl,
+                                               &scratch->ttl_s);
+    ttl_timer.Stop();
+    RecordModelCalls(m.batch_stages, m.batches, scratch->ttl);
+  }
+
+  // Phase 4: each job's costs, exactly as BuildCostsInto lays them out, then
+  // DecideJobInto's optimizer tail.
+  StageCosts& costs = js.costs;
+  for (size_t k = 0; k < nj; ++k) {
+    if (!slots[k].status.ok()) continue;
+    const workload::JobInstance& job = *jobs[k];
+    const size_t r0 = scratch->first_row[k];
+    const size_t r1 = scratch->first_row[k + 1];
+    costs.num_tasks.clear();
+    for (size_t u = 0; u < r1 - r0; ++u) costs.num_tasks.push_back(job.truth[u].num_tasks);
+    costs.output_bytes.assign(scratch->output_bytes.begin() + r0,
+                              scratch->output_bytes.begin() + r1);
+    costs.end_time.assign(scratch->end_time.begin() + r0, scratch->end_time.begin() + r1);
+    costs.tfs.assign(scratch->tfs.begin() + r0, scratch->tfs.begin() + r1);
+    costs.ttl.assign(scratch->ttl_s.begin() + r0, scratch->ttl_s.begin() + r1);
+    costs.job_end = scratch->job_end[k];
+    slots[k].status = OptimizeJobInto(job, costs, options, &js, &slots[k].decision);
+  }
+
+  // The shared phases have no per-job duration; each job is charged an equal
+  // share of the call, so the histogram's count is jobs and its sum is time.
+  if (m.decide_seconds != nullptr && nj > 0) {
+    const double share =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() /
+        static_cast<double>(nj);
+    for (size_t k = 0; k < nj; ++k) m.decide_seconds->Observe(share);
+  }
 }
 
 }  // namespace phoebe::core

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 
 #include "core/bundle.h"
 #include "core/checkpoint.h"
@@ -47,11 +48,12 @@ struct DecideOptions {
 };
 
 /// \brief Per-worker scratch arena for the decide path. One instance per
-/// serving thread (see fleet.cc's per-worker arenas) owns every intermediate
-/// buffer a decision needs — stage costs, exec estimates, the simulated
-/// schedule, three featurize→predict streams (exec, size, TTL), and the
-/// optimizer tables — so once warm (sized by the widest job seen), a
-/// steady-state DecideJobInto/DecideInto performs zero heap allocations.
+/// serving thread (a serve worker, or inside each fleet worker's
+/// DayDecideScratch) owns every intermediate buffer a decision needs —
+/// stage costs, exec estimates, the simulated schedule, three
+/// featurize→predict streams (exec, size, TTL), and the optimizer tables —
+/// so once warm (sized by the widest job seen), a steady-state
+/// DecideJobInto/DecideInto performs zero heap allocations.
 /// Never share one arena between concurrent calls; results are bit-identical
 /// regardless of which arena (or how warm an arena) served a job.
 struct DecideScratch {
@@ -65,6 +67,34 @@ struct DecideScratch {
   CheckpointScratch checkpoint; ///< sweep / DP / recovery tables
   std::vector<CutResult> multicut;  ///< num_cuts > 1 staging
   std::vector<char> persisted;      ///< multi-cut checkpoint-stage union
+};
+
+/// \brief One job's slot on the day-batched path (DecideJobsInto):
+/// `decision` holds the job's FleetDecision iff `status` is OK.
+struct JobDecision {
+  Status status;
+  FleetDecision decision;
+};
+
+/// \brief Per-worker scratch arena for DecideJobsInto. It holds a whole
+/// chunk of jobs' inference state at once — every stage row of every job in
+/// one feature matrix, and per-row exec / size / TTL estimates — plus the
+/// per-job DecideScratch the simulate and optimize phases reuse job by job.
+/// Once warm (sized by the largest chunk seen), a steady-state call performs
+/// no heap allocation. Never share one between concurrent calls.
+struct DayDecideScratch {
+  DecideScratch job;                ///< per-job simulate / optimize tail
+  std::vector<size_t> first_row;    ///< job k owns rows [first_row[k], first_row[k+1])
+  PredictScratch exec;              ///< day stage matrix + exec-model buckets
+  PredictScratch size;              ///< size-model buckets (own matrix only
+                                    ///< when its FeatureConfig differs)
+  PredictScratch ttl;               ///< day stacking matrix + TTL buckets
+  std::vector<double> exec_s;       ///< per-row exec-seconds estimates
+  std::vector<double> output_bytes; ///< per-row output-size estimates
+  std::vector<double> end_time;     ///< per-row simulated end
+  std::vector<double> tfs;          ///< per-row simulated start
+  std::vector<double> ttl_s;        ///< per-row TTL (stacked or simulated)
+  std::vector<double> job_end;      ///< per-job simulated end
 };
 
 /// \brief Stateless decide-time facade over one immutable bundle.
@@ -139,19 +169,43 @@ class DecisionEngine {
                        const DecideOptions& options, DecideScratch* scratch,
                        FleetDecision* out) const;
 
+  /// Decide many jobs at once: slot k receives exactly what DecideJobInto
+  /// returns for *jobs[k] (status and decision, byte for byte). For the ML
+  /// cost sources the call runs in four phases, so each serving model sees
+  /// all of its rows in one call instead of one to three per job:
+  ///   1. featurize every job's stages into one matrix (shared by the exec
+  ///      and size predictors when their FeatureConfigs are equal) and score
+  ///      it with one PredictRowsInto per serving model, for exec and size;
+  ///   2. simulate each job from its exec estimates;
+  ///   3. (ml_stacked) score every stacking row with one call per TTL model;
+  ///   4. run each job's optimizer through DecideJobInto's tail.
+  /// Other sources build their costs per job, as DecideJobInto does. Each
+  /// row's prediction depends on that row alone, so grouping never changes
+  /// a value. `slots.size()` must equal `jobs.size()`.
+  void DecideJobsInto(std::span<const workload::JobInstance* const> jobs,
+                      const telemetry::HistoricStats& stats,
+                      const DecideOptions& options, DayDecideScratch* scratch,
+                      std::span<JobDecision> slots) const;
+
  private:
   /// Metric pointers for one cost source, resolved once at construction so
   /// the decide path never touches the registry mutex. All null when the
   /// engine runs without metrics.
   struct SourceMetrics {
-    obs::Histogram* decide_seconds = nullptr;  ///< engine.decide.<src>.seconds
-    obs::Histogram* infer_seconds = nullptr;   ///< engine.inference.<src>.seconds
-    obs::Histogram* batch_stages = nullptr;    ///< stages per inference batch
-    obs::Counter* batches = nullptr;           ///< inference batches issued
+    obs::Histogram* decide_seconds = nullptr;  ///< engine.<src>.decide.seconds
+    obs::Histogram* infer_seconds = nullptr;   ///< engine.<src>.inference.seconds
+    obs::Histogram* batch_stages = nullptr;    ///< rows per model call
+    obs::Counter* batches = nullptr;           ///< model calls issued
   };
   const SourceMetrics& metrics_for(CostSource source) const {
     return source_metrics_[static_cast<size_t>(source)];
   }
+
+  /// The objective's optimizer over prebuilt costs: DecideJobInto's tail,
+  /// shared with DecideJobsInto's phase 4.
+  Status OptimizeJobInto(const workload::JobInstance& job, const StageCosts& costs,
+                         const DecideOptions& options, DecideScratch* scratch,
+                         FleetDecision* out) const;
 
   std::shared_ptr<const PipelineBundle> bundle_;
   std::array<SourceMetrics, 5> source_metrics_;

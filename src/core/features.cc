@@ -86,9 +86,16 @@ void StageFeaturizer::JobMatrixInto(const workload::JobInstance& job,
                                     const telemetry::HistoricStats& stats,
                                     std::vector<double>* row,
                                     ml::FeatureMatrix* m) const {
+  m->ClearRows();
+  AppendJobRows(job, stats, row, m);
+}
+
+void StageFeaturizer::AppendJobRows(const workload::JobInstance& job,
+                                    const telemetry::HistoricStats& stats,
+                                    std::vector<double>* row,
+                                    ml::FeatureMatrix* m) const {
   // Install the schema once; afterwards only the row storage is recycled.
   if (m->num_features() != names_.size()) *m = ml::FeatureMatrix(names_);
-  m->ClearRows();
   for (size_t si = 0; si < job.graph.num_stages(); ++si) {
     FeaturesInto(job, static_cast<int>(si), stats, row);
     m->AddRow(*row);

@@ -28,6 +28,10 @@ struct FeatureConfig {
   bool text = false;          ///< only the DNN benchmark uses text features
   bool stage_type_id = false; ///< ablation: stage type as a plain feature
   size_t text_dims = 12;      ///< hash buckets per text column
+
+  /// Equal configs emit identical rows for every stage, so one matrix can
+  /// feed several predictors (the day-batched decide path shares it).
+  bool operator==(const FeatureConfig&) const = default;
 };
 
 /// \brief Prediction targets for the stage cost models.
@@ -71,6 +75,13 @@ class StageFeaturizer {
   /// warm matrix perform no allocation. `row` is the per-stage staging
   /// buffer. Rows are bit-identical to JobMatrix.
   void JobMatrixInto(const workload::JobInstance& job,
+                     const telemetry::HistoricStats& stats,
+                     std::vector<double>* row, ml::FeatureMatrix* m) const;
+
+  /// Append `job`'s stage rows to `m` (installing the schema if `m` has
+  /// none): the day-batched decide path stacks every job of a day into one
+  /// matrix this way. Rows are bit-identical to JobMatrix's.
+  void AppendJobRows(const workload::JobInstance& job,
                      const telemetry::HistoricStats& stats,
                      std::vector<double>* row, ml::FeatureMatrix* m) const;
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -66,57 +67,70 @@ DecisionArm::DecisionArm(const DecisionEngine* engine, FleetConfig config)
 
 namespace {
 
-/// Phase 1 of the day loop: decide every eligible job, in parallel when the
-/// config asks for it. Slot i is engaged iff job i has >= 2 stages. Slots are
-/// written by index, so the result is independent of scheduling order. Pure
-/// map over the jobs: the engine's bundle is immutable, so concurrent calls
-/// for distinct jobs are safe by construction (see DESIGN.md "Concurrency").
-/// `jobs_decided`/`worker_jobs` are the arm's (possibly null/empty)
-/// telemetry counters; per-worker attribution never touches the result slots.
-/// One decide-path arena per worker, heap-boxed so workers never share cache
-/// lines. ParallelForWorker hands each body invocation its worker id, which
-/// makes arena reuse race-free by construction; decisions are bit-identical
-/// regardless of which (or how warm an) arena served a job, so the
-/// byte-determinism contract is untouched. Each arm builds its own arenas
-/// per decide phase — arenas are never shared across arms.
-std::vector<std::unique_ptr<DecideScratch>> MakeWorkerArenas(int threads) {
-  std::vector<std::unique_ptr<DecideScratch>> arenas(
-      static_cast<size_t>(std::max(threads, 1)));
-  for (auto& a : arenas) a = std::make_unique<DecideScratch>();
-  return arenas;
-}
+using DecisionSlots = std::vector<std::optional<Result<FleetDecision>>>;
 
-std::vector<std::optional<Result<FleetDecision>>> DecideAll(
-    const DecisionEngine& engine, const FleetConfig& config,
-    const std::vector<workload::JobInstance>& jobs,
-    const telemetry::HistoricStats& stats, obs::Counter* jobs_decided,
-    const std::vector<obs::Counter*>& worker_jobs) {
-  std::vector<std::optional<Result<FleetDecision>>> slots(jobs.size());
+/// Phase 1 of the day loop: decide the jobs named by `which` (ascending
+/// indices into `jobs`), writing job i's decision or error to (*slots)[i].
+/// The jobs go to DecisionEngine::DecideJobsInto in one day-batched call at
+/// one thread, or as one contiguous chunk per worker. Each worker owns its
+/// own arena, heap-boxed so workers never share cache lines;
+/// ParallelForWorker hands each chunk its worker id, which makes arena reuse
+/// race-free by construction. A job's decision does not depend on which
+/// chunk, arena or thread computed it (see DecideJobsInto), and slots are
+/// written by index, so the result is independent of scheduling. Each arm
+/// builds its own arenas per decide phase — arenas are never shared across
+/// arms.
+/// `jobs_decided`/`worker_jobs` are the arm's (possibly null/empty)
+/// telemetry counters; per-worker attribution never touches the slots.
+void DecideAll(const DecisionEngine& engine, const FleetConfig& config,
+               const std::vector<workload::JobInstance>& jobs,
+               std::span<const size_t> which, const telemetry::HistoricStats& stats,
+               obs::Counter* jobs_decided, const std::vector<obs::Counter*>& worker_jobs,
+               DecisionSlots* slots) {
+  const size_t n = which.size();
+  std::vector<const workload::JobInstance*> batch(n);
+  for (size_t k = 0; k < n; ++k) batch[k] = &jobs[which[k]];
+  std::vector<JobDecision> out(n);
   const DecideOptions options = config.decide_options();
   const int threads = ThreadPool::Resolve(config.num_threads);
-  std::vector<std::unique_ptr<DecideScratch>> arenas = MakeWorkerArenas(threads);
-  auto decide = [&](int worker, size_t i) {
-    if (jobs[i].graph.num_stages() < 2) return;
-    FleetDecision d;
-    Status st = engine.DecideJobInto(jobs[i], stats, options,
-                                     arenas[static_cast<size_t>(worker)].get(), &d);
-    if (st.ok()) {
-      slots[i].emplace(std::move(d));
-    } else {
-      slots[i].emplace(std::move(st));
-    }
-    obs::Increment(jobs_decided);
+  const size_t chunks = std::min(static_cast<size_t>(std::max(threads, 1)), n);
+  std::vector<std::unique_ptr<DayDecideScratch>> arenas(chunks);
+  for (auto& a : arenas) a = std::make_unique<DayDecideScratch>();
+  auto decide_chunk = [&](int worker, size_t c) {
+    const size_t begin = n * c / chunks;
+    const size_t end = n * (c + 1) / chunks;
+    engine.DecideJobsInto(std::span(batch).subspan(begin, end - begin), stats, options,
+                          arenas[static_cast<size_t>(worker)].get(),
+                          std::span(out).subspan(begin, end - begin));
+    obs::Add(jobs_decided, static_cast<int64_t>(end - begin));
     if (static_cast<size_t>(worker) < worker_jobs.size()) {
-      obs::Increment(worker_jobs[static_cast<size_t>(worker)]);
+      obs::Add(worker_jobs[static_cast<size_t>(worker)],
+               static_cast<int64_t>(end - begin));
     }
   };
-  if (threads <= 1) {
-    for (size_t i = 0; i < jobs.size(); ++i) decide(0, i);
+  if (chunks <= 1) {
+    if (n > 0) decide_chunk(0, 0);
   } else {
-    ThreadPool pool(threads);
-    pool.ParallelForWorker(jobs.size(), decide);
+    ThreadPool pool(static_cast<int>(chunks));
+    pool.ParallelForWorker(chunks, decide_chunk);
   }
-  return slots;
+  for (size_t k = 0; k < n; ++k) {
+    std::optional<Result<FleetDecision>>& slot = (*slots)[which[k]];
+    if (out[k].status.ok()) {
+      slot.emplace(std::move(out[k].decision));
+    } else {
+      slot.emplace(std::move(out[k].status));
+    }
+  }
+}
+
+/// Indices of the jobs eligible for a decision (>= 2 stages).
+std::vector<size_t> EligibleJobs(const std::vector<workload::JobInstance>& jobs) {
+  std::vector<size_t> eligible;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (jobs[i].graph.num_stages() >= 2) eligible.push_back(i);
+  }
+  return eligible;
 }
 
 }  // namespace
@@ -125,8 +139,9 @@ Status DecisionArm::Calibrate(const DayContext& history) {
   PHOEBE_RETURN_NOT_OK(config_status_);
   const std::vector<workload::JobInstance>& history_jobs = *history.jobs;
   calibration_.clear();
-  auto decisions = DecideAll(*engine_, config_, history_jobs, *history.stats,
-                             metrics_.jobs_decided, metrics_.worker_jobs);
+  DecisionSlots decisions(history_jobs.size());
+  DecideAll(*engine_, config_, history_jobs, EligibleJobs(history_jobs), *history.stats,
+            metrics_.jobs_decided, metrics_.worker_jobs, &decisions);
   for (size_t i = 0; i < history_jobs.size(); ++i) {
     if (!decisions[i].has_value()) continue;  // < 2 stages
     const Result<FleetDecision>& d = *decisions[i];
@@ -150,8 +165,9 @@ Result<FleetDayDecisions> DecisionArm::DecideDay(const DayContext& ctx) const {
   // cache: a shard process has no cache state, and the merge's ReplayDay only
   // consumes the slots RunDay would have computed (leaders / all jobs), so
   // extra slots cost shard CPU but never change the merged report.
-  auto slots = DecideAll(*engine_, config_, jobs, *ctx.stats,
-                         metrics_.jobs_decided, metrics_.worker_jobs);
+  DecisionSlots slots(jobs.size());
+  DecideAll(*engine_, config_, jobs, EligibleJobs(jobs), *ctx.stats,
+            metrics_.jobs_decided, metrics_.worker_jobs, &slots);
   FleetDayDecisions day;
   day.decisions.resize(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
@@ -230,7 +246,7 @@ Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
   // substitutes precomputed decisions for exactly the leader computations
   // (which DecideDay produced fresh, like this phase would), so cache state,
   // hit/miss/eviction counts, and LRU order evolve identically.
-  std::vector<std::optional<Result<FleetDecision>>> decisions;
+  DecisionSlots decisions(jobs.size());
   std::vector<TemplateCacheKey> keys;
   std::vector<size_t> leader_of;  // follower i -> index of its leader
   std::vector<char> is_leader;
@@ -238,18 +254,16 @@ Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
   obs::ScopedTimer decide_timer(metrics_.decide_seconds);
   if (!cache_cfg.enabled) {
     if (precomputed != nullptr) {
-      decisions.resize(jobs.size());
       for (size_t i = 0; i < jobs.size(); ++i) {
         if (precomputed->decisions[i].has_value()) {
           decisions[i].emplace(*precomputed->decisions[i]);
         }
       }
     } else {
-      decisions = DecideAll(*engine_, config_, jobs, stats,
-                            metrics_.jobs_decided, metrics_.worker_jobs);
+      DecideAll(*engine_, config_, jobs, EligibleJobs(jobs), stats,
+                metrics_.jobs_decided, metrics_.worker_jobs, &decisions);
     }
   } else {
-    decisions.resize(jobs.size());
     keys.resize(jobs.size());
     leader_of.assign(jobs.size(), jobs.size());
     is_leader.assign(jobs.size(), 0);
@@ -283,30 +297,12 @@ Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
         if (is_leader[i]) decisions[i].emplace(*precomputed->decisions[i]);
       }
     } else {
-      const DecideOptions options = config_.decide_options();
-      const int threads = ThreadPool::Resolve(config_.num_threads);
-      std::vector<std::unique_ptr<DecideScratch>> arenas = MakeWorkerArenas(threads);
-      auto decide = [&](int worker, size_t i) {
-        if (!is_leader[i]) return;
-        FleetDecision d;
-        Status st = engine_->DecideJobInto(
-            jobs[i], stats, options, arenas[static_cast<size_t>(worker)].get(), &d);
-        if (st.ok()) {
-          decisions[i].emplace(std::move(d));
-        } else {
-          decisions[i].emplace(std::move(st));
-        }
-        obs::Increment(metrics_.jobs_decided);
-        if (static_cast<size_t>(worker) < metrics_.worker_jobs.size()) {
-          obs::Increment(metrics_.worker_jobs[static_cast<size_t>(worker)]);
-        }
-      };
-      if (threads <= 1) {
-        for (size_t i = 0; i < jobs.size(); ++i) decide(0, i);
-      } else {
-        ThreadPool pool(threads);
-        pool.ParallelForWorker(jobs.size(), decide);
+      std::vector<size_t> leaders;
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        if (is_leader[i]) leaders.push_back(i);
       }
+      DecideAll(*engine_, config_, jobs, leaders, stats, metrics_.jobs_decided,
+                metrics_.worker_jobs, &decisions);
     }
     // Serial admission prologue: insert leader decisions into the cache and
     // copy them to same-day followers, in arrival order, before the admission

@@ -164,8 +164,8 @@ struct DayContext {
 /// it — fleet config, template decision cache, admission calibration, and
 /// resolved metric pointers. Arms own all bundle-specific day-loop state, so
 /// any number of them can run over one DayContext; each keeps its own cache
-/// and its own per-worker DecideScratch arenas (created per decide phase),
-/// and admission replays per arm in arrival order.
+/// and its own per-worker DayDecideScratch arenas (created per decide
+/// phase), and admission replays per arm in arrival order.
 class DecisionArm {
  public:
   /// \param engine const serving engine (borrowed; must outlive the arm).

@@ -117,61 +117,93 @@ void StageCostPredictor::PredictJobInto(const workload::JobInstance& job,
                                         PredictScratch* scratch,
                                         std::vector<double>* out) const {
   PHOEBE_CHECK_MSG(trained_, "PredictJob called before Train");
-  const size_t ns = job.graph.num_stages();
-  if (!config_.batch_inference) {
-    // Scalar reference path: one featurize + Predict per stage, exactly what
-    // PredictStage computes.
-    out->resize(ns);
-    for (size_t si = 0; si < ns; ++si) {
-      featurizer_.FeaturesInto(job, static_cast<int>(si), stats, &scratch->row);
-      int type = job.graph.stage(static_cast<int>(si)).stage_type;
-      auto it = per_type_.find(type);
-      double y_log;
-      double calibration;
-      if (it != per_type_.end()) {
-        y_log = it->second.Predict(scratch->row);
-        calibration = calibration_.at(type);
-      } else {
-        y_log = general_->Predict(scratch->row);
-        calibration = general_calibration_;
-      }
-      (*out)[si] = std::max(0.0, StageFeaturizer::ExpandTarget(y_log)) * calibration;
+  featurizer_.JobMatrixInto(job, stats, &scratch->row, &scratch->matrix);
+  scratch->types.clear();
+  for (size_t si = 0; si < job.graph.num_stages(); ++si) {
+    scratch->types.push_back(job.graph.stage(static_cast<int>(si)).stage_type);
+  }
+  PredictMatrixInto(scratch->matrix, scratch->types, scratch, out);
+}
+
+void StageCostPredictor::PredictMatrixInto(const ml::FeatureMatrix& m,
+                                           std::span<const int> types,
+                                           PredictScratch* scratch,
+                                           std::vector<double>* out) const {
+  PHOEBE_CHECK_MSG(trained_, "PredictMatrixInto called before Train");
+  PredictByServingModel(m, types, per_type_, *general_, &calibration_,
+                        general_calibration_, config_.batch_inference, scratch, out);
+}
+
+void PredictByServingModel(const ml::FeatureMatrix& m, std::span<const int> types,
+                           const std::map<int, ml::GbdtRegressor>& per_type,
+                           const ml::Regressor& general,
+                           const std::map<int, double>* calibration,
+                           double general_calibration, bool batched,
+                           PredictScratch* scratch, std::vector<double>* out) {
+  const size_t nr = m.num_rows();
+  PHOEBE_CHECK(types.size() == nr);
+  out->resize(nr);
+  scratch->call_rows.clear();
+  auto finish = [](double y_log, double cal, bool calibrated) {
+    const double y = std::max(0.0, StageFeaturizer::ExpandTarget(y_log));
+    return calibrated ? y * cal : y;
+  };
+
+  if (!batched) {
+    // Scalar reference path: one Predict per row, exactly what
+    // StageCostPredictor::PredictStage computes.
+    for (size_t r = 0; r < nr; ++r) {
+      auto it = per_type.find(types[r]);
+      const bool typed = it != per_type.end();
+      const double y_log = typed ? it->second.Predict(m.Row(r)) : general.Predict(m.Row(r));
+      const double cal = !calibration ? 1.0
+                         : typed      ? calibration->at(types[r])
+                                      : general_calibration;
+      (*out)[r] = finish(y_log, cal, calibration != nullptr);
     }
+    scratch->call_rows.assign(nr, 1);
     return;
   }
 
-  featurizer_.JobMatrixInto(job, stats, &scratch->row, &scratch->matrix);
-  out->assign(ns, 0.0);
+  // Counting sort of the rows into one bucket per serving model. Bucket b <
+  // per_type.size() is the b-th per-type model (ascending stage type), the
+  // last bucket the general model.
+  std::vector<int>& keys = scratch->model_types;
+  keys.clear();
+  for (const auto& entry : per_type) keys.push_back(entry.first);
+  auto bucket_of = [&keys](int type) {
+    auto it = std::lower_bound(keys.begin(), keys.end(), type);
+    return (it != keys.end() && *it == type) ? static_cast<size_t>(it - keys.begin())
+                                             : keys.size();
+  };
+  const size_t nb = keys.size() + 1;
+  std::vector<size_t>& bucket = scratch->bucket;
+  bucket.assign(nb + 1, 0);
+  for (int t : types) ++bucket[bucket_of(t) + 1];
+  for (size_t b = 1; b <= nb; ++b) bucket[b] += bucket[b - 1];
+  scratch->rows.resize(nr);
+  for (size_t r = 0; r < nr; ++r) scratch->rows[bucket[bucket_of(types[r])]++] = r;
+  // The fill advanced every bucket's start to the next bucket's; shift back.
+  for (size_t b = nb; b-- > 1;) bucket[b] = bucket[b - 1];
+  bucket[0] = 0;
 
-  // Partition stages by serving model so each model sees one batch. The
-  // per-type models are visited in ascending stage_type (map order), then the
-  // general fallback — the same grouping and scatter order the per-job map
-  // partition produced, but with one reused index buffer instead of a
-  // std::map of vectors per call.
-  scratch->served.assign(ns, 0);
-  auto score = [&](const ml::Regressor& model, double cal) {
-    model.PredictRowsInto(scratch->matrix, scratch->rows, &scratch->y_log);
-    for (size_t k = 0; k < scratch->rows.size(); ++k) {
-      (*out)[scratch->rows[k]] =
-          std::max(0.0, StageFeaturizer::ExpandTarget(scratch->y_log[k])) * cal;
+  auto score = [&](const ml::Regressor& model, size_t b, double cal) {
+    const std::span<const size_t> rows(scratch->rows.data() + bucket[b],
+                                       bucket[b + 1] - bucket[b]);
+    model.PredictRowsInto(m, rows, &scratch->y_log);
+    scratch->call_rows.push_back(rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      (*out)[rows[k]] = finish(scratch->y_log[k], cal, calibration != nullptr);
     }
   };
-  for (const auto& [type, model] : per_type_) {
-    scratch->rows.clear();
-    for (size_t si = 0; si < ns; ++si) {
-      if (job.graph.stage(static_cast<int>(si)).stage_type == type) {
-        scratch->rows.push_back(si);
-        scratch->served[si] = 1;
-      }
+  size_t b = 0;
+  for (const auto& [type, model] : per_type) {
+    if (bucket[b] != bucket[b + 1]) {
+      score(model, b, calibration ? calibration->at(type) : 1.0);
     }
-    if (scratch->rows.empty()) continue;
-    score(model, calibration_.at(type));
+    ++b;
   }
-  scratch->rows.clear();
-  for (size_t si = 0; si < ns; ++si) {
-    if (!scratch->served[si]) scratch->rows.push_back(si);
-  }
-  if (!scratch->rows.empty()) score(*general_, general_calibration_);
+  if (bucket[b] != bucket[b + 1]) score(general, b, general_calibration);
 }
 
 namespace {

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/features.h"
@@ -32,9 +33,10 @@ struct PredictorConfig {
   ml::MlpParams mlp;
   /// Stage types with fewer training rows than this use the general model.
   int min_samples_per_type = 100;
-  /// Score whole jobs with one PredictBatch call per serving model instead of
-  /// a scalar Predict per stage. Bit-equal to the scalar path (the batch
-  /// overrides pin that contract), so this is purely a throughput knob.
+  /// Score a job's (or a day's) stage rows with one PredictRowsInto call per
+  /// serving model instead of a scalar Predict per stage. Bit-equal to the
+  /// scalar path (the batch overrides pin that contract), so this is purely
+  /// a throughput knob.
   bool batch_inference = true;
 };
 
@@ -46,17 +48,43 @@ struct TrainExample {
 };
 
 /// \brief Reusable featurize→predict working storage for one inference
-/// stream (see core/engine.h DecideScratch). A warm scratch — one that has
-/// seen the widest job of the workload — makes PredictJobInto /
-/// TtlEstimator::PredictInto allocation-free: the job matrix, the per-model
-/// row gather, and the log-space output buffer are all recycled in place.
+/// stream (see core/engine.h DecideScratch and DayDecideScratch). A warm
+/// scratch — one that has seen the widest job (or day) of the workload —
+/// makes every predict call on it allocation-free: the feature matrix, the
+/// per-model row buckets, and the log-space output buffer are all recycled
+/// in place.
 struct PredictScratch {
-  ml::FeatureMatrix matrix;    ///< whole-job feature rows (schema sticks)
+  ml::FeatureMatrix matrix;    ///< feature rows: one job's, or a whole day's
   std::vector<double> row;     ///< per-stage staging row
-  std::vector<size_t> rows;    ///< row indices served by the current model
-  std::vector<double> y_log;   ///< model outputs for those rows (log space)
-  std::vector<char> served;    ///< per-stage flag: scored by a per-type model
+  std::vector<int> types;      ///< stage type of each matrix row
+  std::vector<size_t> rows;    ///< matrix rows grouped by serving model
+  /// Bucket b (the b-th per-type model in ascending stage type, then the
+  /// general model last) is rows[bucket[b], bucket[b + 1]).
+  std::vector<size_t> bucket;
+  std::vector<int> model_types;  ///< stage types that have a per-type model
+  std::vector<double> y_log;   ///< model outputs for one bucket (log space)
+  /// Rows passed to each model call made by the last predict call, in call
+  /// order (1 per row on the scalar path) — inference-batch telemetry.
+  std::vector<size_t> call_rows;
 };
+
+/// The one batched scorer behind StageCostPredictor and TtlEstimator, for
+/// one job's rows or a whole day's. Row r of `m` is a stage of type
+/// `types[r]`; it is served by `per_type`'s model for that type, or by
+/// `general` when there is none. Rows are bucketed by serving model (per-type
+/// models in ascending type, the general model last; rows ascending within a
+/// bucket) and each model is called once over its bucket — or once per row
+/// when `batched` is false. The prediction is max(0, expm1(y_log)), times
+/// `calibration->at(type)` / `general_calibration` when `calibration` is
+/// non-null. Every row's value depends on that row alone, so it is
+/// bit-identical however rows are grouped. `m`/`types` may be
+/// scratch->matrix/scratch->types; `out` must not alias scratch fields.
+void PredictByServingModel(const ml::FeatureMatrix& m, std::span<const int> types,
+                           const std::map<int, ml::GbdtRegressor>& per_type,
+                           const ml::Regressor& general,
+                           const std::map<int, double>* calibration,
+                           double general_calibration, bool batched,
+                           PredictScratch* scratch, std::vector<double>* out);
 
 /// \brief Predicts one target (exec time or output size) per stage.
 class StageCostPredictor {
@@ -82,22 +110,31 @@ class StageCostPredictor {
                       const telemetry::HistoricStats& stats) const;
 
   /// Predict all stages of a job. With config().batch_inference on, stages
-  /// are grouped by serving model and scored with one PredictBatch call per
-  /// group; otherwise falls back to a scalar PredictStage loop. Both paths
-  /// return bit-identical values.
+  /// are grouped by serving model and scored with one PredictRowsInto call
+  /// per group; otherwise each stage is a scalar Predict. Both paths return
+  /// bit-identical values.
   std::vector<double> PredictJob(const workload::JobInstance& job,
                                  const telemetry::HistoricStats& stats) const;
 
   /// PredictJob into caller-owned buffers: featurizes the whole job into
-  /// `scratch->matrix`, scores each serving model's stages via
-  /// Regressor::PredictRowsInto, and writes the per-stage predictions to
-  /// `*out` (resized to the stage count). Values are bit-identical to
-  /// PredictJob on both the batched and the scalar path; with warm buffers
-  /// the call performs no heap allocation (the scalar reference path and
-  /// FeatureConfig::text excepted). `out` must not alias scratch fields.
+  /// `scratch->matrix` and scores it with PredictMatrixInto — the one-job
+  /// case of the day-batched path. Values are bit-identical to PredictJob;
+  /// with warm buffers the call performs no heap allocation (FeatureConfig::
+  /// text excepted). `out` must not alias scratch fields.
   void PredictJobInto(const workload::JobInstance& job,
                       const telemetry::HistoricStats& stats, PredictScratch* scratch,
                       std::vector<double>* out) const;
+
+  /// Score every row of a stage matrix built by featurizer() (row r is a
+  /// stage of type `types[r]`, from any job): rows are bucketed by serving
+  /// model and each model is called once over its bucket (or, with
+  /// batch_inference off, once per row). `(*out)[r]` is bit-identical to
+  /// PredictStage for that row's stage; no allocation once `scratch` and
+  /// `out` are warm. `m`/`types` may be scratch->matrix/scratch->types;
+  /// `out` must not alias scratch fields. Records each call's row count in
+  /// scratch->call_rows.
+  void PredictMatrixInto(const ml::FeatureMatrix& m, std::span<const int> types,
+                         PredictScratch* scratch, std::vector<double>* out) const;
 
   /// Toggle batched scoring after construction (e.g. for benchmarking both
   /// paths on one trained predictor). Not safe to call concurrently with

@@ -15,7 +15,7 @@ Result<SimulatedSchedule> SimulateSchedule(const dag::JobGraph& graph,
 }
 
 Status SimulateScheduleInto(const dag::JobGraph& graph,
-                            const std::vector<double>& exec_seconds,
+                            std::span<const double> exec_seconds,
                             SimulatorScratch* scratch, SimulatedSchedule* out) {
   if (exec_seconds.size() != graph.num_stages()) {
     return Status::InvalidArgument(

@@ -7,6 +7,7 @@
 // output) and TFS (time from start) follow.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -40,9 +41,11 @@ struct SimulatorScratch {
 
 /// Same simulation, writing into a caller-owned schedule whose vectors are
 /// reused across calls (hot decide path; see core/engine.h DecideScratch).
-/// Bit-identical to SimulateSchedule.
+/// Bit-identical to SimulateSchedule. `exec_seconds` may be a slice of a
+/// longer buffer (the day-batched decide path simulates from one per-day
+/// estimate array).
 Status SimulateScheduleInto(const dag::JobGraph& graph,
-                            const std::vector<double>& exec_seconds,
+                            std::span<const double> exec_seconds,
                             SimulatorScratch* scratch, SimulatedSchedule* out);
 
 }  // namespace phoebe::core

@@ -31,6 +31,15 @@ void TtlEstimator::StackingFeaturesInto(const SimulatedSchedule& sim,
   row->push_back(std::log1p(std::max(0.0, sim.job_end)));
 }
 
+void TtlEstimator::AppendStackingRows(const SimulatedSchedule& sim,
+                                      std::vector<double>* row, ml::FeatureMatrix* m) {
+  if (m->num_features() != 4) *m = ml::FeatureMatrix(StackingFeatureNames());
+  for (size_t u = 0; u < sim.end.size(); ++u) {
+    StackingFeaturesInto(sim, static_cast<dag::StageId>(u), row);
+    m->AddRow(*row);
+  }
+}
+
 Status TtlEstimator::Train(const std::vector<workload::JobInstance>& jobs,
                            const telemetry::HistoricStats& stats,
                            const StageCostPredictor& exec_predictor) {
@@ -94,59 +103,30 @@ void TtlEstimator::PredictInto(const workload::JobInstance& job,
                                const SimulatedSchedule& sim, PredictScratch* scratch,
                                std::vector<double>* out) const {
   const size_t ns = job.graph.num_stages();
-  if (!trained_ || !config_.batch_inference) {
+  if (!trained_) {
     out->resize(ns);
     for (size_t si = 0; si < ns; ++si) {
-      dag::StageId s = static_cast<dag::StageId>(si);
-      if (!trained_) {
-        (*out)[si] = sim.Ttl(s);
-        continue;
-      }
-      StackingFeaturesInto(sim, s, &scratch->row);
-      int type = job.graph.stage(s).stage_type;
-      auto it = per_type_.find(type);
-      double y_log = (it != per_type_.end()) ? it->second.Predict(scratch->row)
-                                             : general_->Predict(scratch->row);
-      (*out)[si] = std::max(0.0, std::expm1(y_log));
+      (*out)[si] = sim.Ttl(static_cast<dag::StageId>(si));
     }
+    scratch->call_rows.clear();
     return;
   }
-
-  // Batched path: one stacking-feature matrix, one PredictRowsInto per
-  // serving model — same grouping and scatter order as the per-job map
-  // partition, on reused buffers.
-  if (scratch->matrix.num_features() != 4) {  // StackingFeatureNames().size()
-    scratch->matrix = ml::FeatureMatrix(StackingFeatureNames());
-  }
   scratch->matrix.ClearRows();
+  AppendStackingRows(sim, &scratch->row, &scratch->matrix);
+  scratch->types.clear();
   for (size_t si = 0; si < ns; ++si) {
-    StackingFeaturesInto(sim, static_cast<dag::StageId>(si), &scratch->row);
-    scratch->matrix.AddRow(scratch->row);
+    scratch->types.push_back(job.graph.stage(static_cast<dag::StageId>(si)).stage_type);
   }
-  out->assign(ns, 0.0);
-  scratch->served.assign(ns, 0);
-  auto score = [&](const ml::GbdtRegressor& model) {
-    model.PredictRowsInto(scratch->matrix, scratch->rows, &scratch->y_log);
-    for (size_t k = 0; k < scratch->rows.size(); ++k) {
-      (*out)[scratch->rows[k]] = std::max(0.0, std::expm1(scratch->y_log[k]));
-    }
-  };
-  for (const auto& [type, model] : per_type_) {
-    scratch->rows.clear();
-    for (size_t si = 0; si < ns; ++si) {
-      if (job.graph.stage(static_cast<dag::StageId>(si)).stage_type == type) {
-        scratch->rows.push_back(si);
-        scratch->served[si] = 1;
-      }
-    }
-    if (scratch->rows.empty()) continue;
-    score(model);
-  }
-  scratch->rows.clear();
-  for (size_t si = 0; si < ns; ++si) {
-    if (!scratch->served[si]) scratch->rows.push_back(si);
-  }
-  if (!scratch->rows.empty()) score(*general_);
+  PredictMatrixInto(scratch->matrix, scratch->types, scratch, out);
+}
+
+void TtlEstimator::PredictMatrixInto(const ml::FeatureMatrix& m,
+                                     std::span<const int> types,
+                                     PredictScratch* scratch,
+                                     std::vector<double>* out) const {
+  PHOEBE_CHECK_MSG(trained_, "TtlEstimator::PredictMatrixInto called before Train");
+  PredictByServingModel(m, types, per_type_, *general_, /*calibration=*/nullptr, 1.0,
+                        config_.batch_inference, scratch, out);
 }
 
 std::string TtlEstimator::ToText() const {

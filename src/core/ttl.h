@@ -27,7 +27,7 @@ struct TtlConfig {
     return p;
   }();
   int min_samples_per_type = 100;
-  /// Score all stages of a job with one PredictBatch call per stacking model
+  /// Score stacking rows with one PredictRowsInto call per stacking model
   /// (bit-equal to the scalar loop; throughput knob only).
   bool batch_inference = true;
 };
@@ -60,10 +60,19 @@ class TtlEstimator {
                               const SimulatedSchedule& sim) const;
 
   /// Predict into caller-owned buffers (bit-identical to Predict; no heap
-  /// allocation once `scratch` and `out` are warm). `out` must not alias
-  /// scratch fields.
+  /// allocation once `scratch` and `out` are warm): the stacking rows go to
+  /// `scratch->matrix` and are scored by PredictMatrixInto — the one-job case
+  /// of the day-batched path. `out` must not alias scratch fields.
   void PredictInto(const workload::JobInstance& job, const SimulatedSchedule& sim,
                    PredictScratch* scratch, std::vector<double>* out) const;
+
+  /// Score every row of a stacking-feature matrix (StackingFeatureNames()
+  /// schema; row r is a stage of type `types[r]`, from any job) with one
+  /// model call per stacking model (see PredictByServingModel). Requires a
+  /// trained estimator. `(*out)[r]` is bit-identical to Predict for that
+  /// row's stage; call sizes go to scratch->call_rows.
+  void PredictMatrixInto(const ml::FeatureMatrix& m, std::span<const int> types,
+                         PredictScratch* scratch, std::vector<double>* out) const;
 
   /// Toggle batched scoring after construction. Not safe to call
   /// concurrently with inference.
@@ -75,6 +84,11 @@ class TtlEstimator {
   /// Same row into caller-owned storage (cleared first; capacity reused).
   static void StackingFeaturesInto(const SimulatedSchedule& sim, dag::StageId stage,
                                    std::vector<double>* row);
+  /// Append one stacking row per stage of `sim` to `m`, installing the
+  /// StackingFeatureNames() schema first if `m` has another width: one
+  /// job's rows, or job after job for a whole day. `row` is staging.
+  static void AppendStackingRows(const SimulatedSchedule& sim, std::vector<double>* row,
+                                 ml::FeatureMatrix* m);
   static std::vector<std::string> StackingFeatureNames();
 
   /// Serialize the trained stacking models; LoadFromText restores them.

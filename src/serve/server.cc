@@ -375,6 +375,12 @@ void ServeServer::WorkerLoop() {
   // crosses a reload boundary (pinned bundle pointer changes).
   std::shared_ptr<const core::PipelineBundle> engine_bundle;
   std::optional<core::DecisionEngine> engine;
+  // The fleet's allocation-free decide path: one arena and one decision per
+  // worker, recycled across requests (and across reloads — an arena holds no
+  // bundle state).
+  core::DecideScratch scratch;
+  std::optional<core::FleetDecision> decision;
+  const std::optional<core::FleetDecision> no_decision;
   while (true) {
     std::vector<Request> batch = PopBatch(config_.coalesce ? config_.max_batch : 1);
     if (batch.empty()) return;  // queue closed and drained
@@ -384,19 +390,19 @@ void ServeServer::WorkerLoop() {
         engine_bundle = request.bundle;
         engine.emplace(engine_bundle, config_.metrics);
       }
-      std::optional<core::FleetDecision> decision;
-      if (request.job.graph.num_stages() >= 2) {
-        Result<core::FleetDecision> r =
-            engine->DecideJob(request.job, engine_bundle->stats(), request.options);
-        if (!r.ok()) {
+      const bool eligible = request.job.graph.num_stages() >= 2;
+      if (eligible) {
+        if (!decision) decision.emplace();
+        Status st = engine->DecideJobInto(request.job, engine_bundle->stats(),
+                                          request.options, &scratch, &*decision);
+        if (!st.ok()) {
           obs::Increment(metrics_.errors);
-          WriteError(request.conn, request.id, r.status());
+          WriteError(request.conn, request.id, st);
           continue;
         }
-        decision = std::move(r).ValueOrDie();
       }
-      std::string payload =
-          SerializeDecideResponse(engine_bundle->checksum(), decision);
+      std::string payload = SerializeDecideResponse(engine_bundle->checksum(),
+                                                    eligible ? decision : no_decision);
       WriteFrame(request.conn,
                  Frame{FrameType::kDecision, request.id, std::move(payload)});
       obs::Increment(metrics_.requests);

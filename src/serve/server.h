@@ -25,13 +25,14 @@
 // response. The swap is logged with old → new checksums and counted in
 // `serve.reloads`.
 //
-// Determinism: DecideJob is a pure function of (bundle, options, job,
-// stats), the queue only reorders *between* requests (each response carries
-// its request id), and metrics are strictly passive — so socket answers are
-// byte-identical to direct DecisionEngine calls for any worker count,
-// coalescing mode, and metrics setting, before/during/after a reload to the
-// same artifact (serve_determinism_test pins this; serve_concurrency_test
-// runs the reload/decide races under TSan).
+// Determinism: each worker decides through DecideJobInto on its own
+// DecideScratch (the fleet's allocation-free path), a pure function of
+// (bundle, options, job, stats); the queue only reorders *between* requests
+// (each response carries its request id), and metrics are strictly passive
+// — so socket answers are byte-identical to direct DecisionEngine calls for
+// any worker count, coalescing mode, and metrics setting, before/during/after
+// a reload to the same artifact (serve_determinism_test pins this;
+// serve_concurrency_test runs the reload/decide races under TSan).
 #pragma once
 
 #include <atomic>

@@ -19,7 +19,25 @@ dag::Stage CloneStage(const dag::Stage& s) {
   return out;
 }
 
+/// Marks a VacuousCase status; no property failure message starts with it.
+constexpr char kVacuousPrefix[] = "vacuous case: ";
+
+/// A shrink candidate still fails iff the property reports a violation.
+bool StillFails(const Property& prop, const JobCase& c) {
+  const Status st = prop(c);
+  return !st.ok() && !IsVacuousCase(st);
+}
+
 }  // namespace
+
+Status VacuousCase(const std::string& why) {
+  return Status::FailedPrecondition(kVacuousPrefix + why);
+}
+
+bool IsVacuousCase(const Status& st) {
+  return st.code() == StatusCode::kFailedPrecondition &&
+         st.message().rfind(kVacuousPrefix, 0) == 0;
+}
 
 JobCase RemoveStage(const JobCase& c, dag::StageId victim) {
   JobCase out;
@@ -68,7 +86,7 @@ JobCase ShrinkCase(const JobCase& failing, const Property& prop, int max_steps) 
       if (best.graph.num_stages() <= 1) break;
       JobCase candidate = RemoveStage(best, static_cast<dag::StageId>(u));
       ++steps;
-      if (!prop(candidate).ok()) {
+      if (StillFails(prop, candidate)) {
         best = std::move(candidate);
         improved = true;
         --u;  // same index now names the next stage
@@ -78,7 +96,7 @@ JobCase ShrinkCase(const JobCase& failing, const Property& prop, int max_steps) 
     for (size_t e = 0; e < best.graph.num_edges() && steps < max_steps; ++e) {
       JobCase candidate = RemoveEdge(best, e);
       ++steps;
-      if (!prop(candidate).ok()) {
+      if (StillFails(prop, candidate)) {
         best = std::move(candidate);
         improved = true;
         --e;
@@ -111,6 +129,10 @@ PropertyReport CheckProperty(const PropertyOptions& opt, const Property& prop) {
     ++report.cases_run;
     Status st = prop(c);
     if (st.ok()) continue;
+    if (IsVacuousCase(st)) {
+      ++report.vacuous_cases;
+      continue;
+    }
 
     report.ok = false;
     report.failed_case = i;
@@ -120,7 +142,7 @@ PropertyReport CheckProperty(const PropertyOptions& opt, const Property& prop) {
         opt.shrink ? ShrinkCase(c, prop, opt.max_shrink_steps) : c;
     report.shrunk_stages = report.counterexample.graph.num_stages();
     report.failure = prop(report.counterexample);
-    if (report.failure.ok()) {
+    if (report.failure.ok() || IsVacuousCase(report.failure)) {
       // Defensive: a flaky property (shrink invalidated the failure without
       // the shrinker noticing) — report the original status instead.
       report.failure = st;
@@ -133,7 +155,10 @@ PropertyReport CheckProperty(const PropertyOptions& opt, const Property& prop) {
 }
 
 std::string PropertyReport::Describe() const {
-  if (ok) return StrFormat("property held on %d cases", cases_run);
+  if (ok) {
+    return StrFormat("property held on %d cases (%d vacuous)", cases_run,
+                     vacuous_cases);
+  }
   return StrFormat(
       "property FAILED on case %d (seed %llu): %s\n"
       "counterexample shrunk from %zu to %zu stages:\n%s",

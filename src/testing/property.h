@@ -20,8 +20,17 @@ namespace phoebe::testing {
 /// \brief Predicate under test. Return OK when the property holds on the
 /// case; return a descriptive error when it is violated. Properties must
 /// treat cases outside their precondition (e.g. too few stages) as OK —
-/// the shrinker interprets any non-OK status as "still failing".
+/// the shrinker interprets any non-OK status as "still failing" — and
+/// return VacuousCase() when the case could not be checked at all.
 using Property = std::function<Status(const JobCase&)>;
+
+/// Verdict for a case the property could not check — e.g. the exact solver
+/// stopped before proving optimality, so there is no bound to compare
+/// against. Never a failure, but counted in PropertyReport::vacuous_cases,
+/// so a suite can assert that its passes actually checked something.
+Status VacuousCase(const std::string& why);
+/// True iff `st` came from VacuousCase.
+bool IsVacuousCase(const Status& st);
 
 /// \brief Runner configuration.
 struct PropertyOptions {
@@ -48,6 +57,7 @@ int ScaledCaseCount(int base);
 struct PropertyReport {
   bool ok = true;
   int cases_run = 0;
+  int vacuous_cases = 0;      ///< cases the property returned VacuousCase for
   int failed_case = -1;       ///< index of the first failing case
   uint64_t failed_seed = 0;   ///< seed + failed_case; replays the original
   Status failure;             ///< property status on the (shrunk) counterexample
@@ -64,7 +74,7 @@ PropertyReport CheckProperty(const PropertyOptions& opt, const Property& prop);
 
 /// Greedy shrinker: repeatedly try deleting one stage (with its incident
 /// edges; cost rows follow) or one edge, keeping any deletion under which
-/// `prop` still fails, until a fixpoint or `max_steps` evaluations. Exposed
+/// `prop` still fails (a vacuous verdict is not a failure), until a fixpoint or `max_steps` evaluations. Exposed
 /// for the self-test; CheckProperty calls it automatically.
 JobCase ShrinkCase(const JobCase& failing, const Property& prop, int max_steps);
 

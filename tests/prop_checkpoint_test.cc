@@ -70,7 +70,7 @@ TEST(PropCheckpointTest, HeuristicNeverExceedsIpBound) {
     opt.milp.time_limit_seconds = 30.0;
     PHOEBE_ASSIGN_OR_RETURN(core::IpResult ip,
                             SolveTempStorageIp(c.graph, c.costs, opt));
-    if (!ip.optimal) return Status::OK();  // no bound proven; skip
+    if (!ip.optimal) return VacuousCase("IP stopped before optimality");
     if (heuristic.objective > ip.objective + RelTol(ip.objective)) {
       return Status::Internal(
           StrFormat("heuristic %.6e exceeds proven optimum %.6e",
@@ -80,6 +80,7 @@ TEST(PropCheckpointTest, HeuristicNeverExceedsIpBound) {
   };
   auto report = CheckProperty(IpSizedOptions(60, 0xfeed), prop);
   EXPECT_TRUE(report.ok) << report.Describe();
+  EXPECT_EQ(report.vacuous_cases, 0) << report.Describe();
 }
 
 // --- Multi-cut: DP dominance and agreement with the multi-cut IP. ----------
@@ -197,7 +198,9 @@ TEST(PropCheckpointTest, MultiCutIpMonotoneInCutBudget) {
     opt.num_cuts = 2;
     PHOEBE_ASSIGN_OR_RETURN(core::IpResult two,
                             SolveTempStorageIp(c.graph, c.costs, opt));
-    if (!one.optimal || !two.optimal) return Status::OK();
+    if (!one.optimal || !two.optimal) {
+      return VacuousCase("IP stopped before optimality");
+    }
     if (two.objective + RelTol(one.objective) < one.objective) {
       return Status::Internal(
           StrFormat("2-cut IP %.6e below 1-cut IP %.6e", two.objective,
@@ -207,6 +210,7 @@ TEST(PropCheckpointTest, MultiCutIpMonotoneInCutBudget) {
   };
   auto report = CheckProperty(IpSizedOptions(40, 0xcafe), prop);
   EXPECT_TRUE(report.ok) << report.Describe();
+  EXPECT_EQ(report.vacuous_cases, 0) << report.Describe();
 }
 
 // --- Structural oracles and baseline sanity on larger graphs. --------------

@@ -103,6 +103,46 @@ TEST(PropertyTest, CaseCountMultiplierScalesRuns) {
   EXPECT_EQ(report.cases_run, ScaledCaseCount(3));
 }
 
+TEST(PropertyTest, VacuousCasesAreCountedNotFailed) {
+  PropertyOptions opt;
+  opt.num_cases = 60;
+  int expected = 0;
+  for (int i = 0; i < ScaledCaseCount(opt.num_cases); ++i) {
+    Rng rng(opt.seed + static_cast<uint64_t>(i));
+    if (RandomJobCase(opt.graph, opt.costs, &rng).graph.num_stages() % 2 == 0) ++expected;
+  }
+  ASSERT_GT(expected, 0);
+  ASSERT_LT(expected, ScaledCaseCount(opt.num_cases));
+  auto report = CheckProperty(opt, [](const JobCase& c) {
+    return c.graph.num_stages() % 2 == 0 ? VacuousCase("even stage count")
+                                          : Status::OK();
+  });
+  EXPECT_TRUE(report.ok) << report.Describe();
+  EXPECT_EQ(report.cases_run, ScaledCaseCount(opt.num_cases));
+  EXPECT_EQ(report.vacuous_cases, expected);
+  EXPECT_TRUE(IsVacuousCase(VacuousCase("x")));
+  EXPECT_FALSE(IsVacuousCase(Status::FailedPrecondition("x")));
+  EXPECT_FALSE(IsVacuousCase(Status::OK()));
+}
+
+TEST(PropertyTest, ShrinkerTreatsVacuousCandidatesAsPassing) {
+  // Fails on >= 6 stages, is vacuous on 4-5: the shrinker must stop at 6
+  // rather than follow vacuous verdicts down to a non-failing case.
+  PropertyOptions opt;
+  opt.num_cases = 100;
+  opt.graph.min_stages = 8;
+  auto prop = [](const JobCase& c) -> Status {
+    const size_t n = c.graph.num_stages();
+    if (n >= 6) return Status::Internal("too many stages");
+    if (n >= 4) return VacuousCase("mid-sized");
+    return Status::OK();
+  };
+  auto report = CheckProperty(opt, prop);
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.shrunk_stages, 6u);
+  EXPECT_FALSE(IsVacuousCase(report.failure));
+}
+
 TEST(PropertyTest, FailingPropertyIsDeterministic) {
   PropertyOptions opt;
   opt.num_cases = 100;

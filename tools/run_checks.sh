@@ -41,11 +41,13 @@ run_config build-asan "asan+ubsan" -DCMAKE_BUILD_TYPE=Debug -DPHOEBE_SANITIZE=ON
 # and the A/B harness (FleetAb: per-arm decide fan-out on the shared day
 # context must stay byte-identical across thread counts), and the scenario
 # determinism matrix (ScenarioDeterminism: every hostile-workload preset's
-# fleet reports across threads x cache x shards).
+# fleet reports across threads x cache x shards), and the day-batched decide
+# path (DayBatch: one contiguous chunk of the day per worker must match
+# per-job decisions byte for byte).
 # The full suite under TSan is too slow for a local gate, and the
 # serial-only tests cannot race by construction.
 export TSAN_OPTIONS="halt_on_error=1"
-EXTRA_CTEST_ARGS=(-R "ThreadPool|FleetParallel|FleetFixture|ObsRegistry|FleetMetrics|ServeConcurrency|LifecycleDeterminism|FleetScratch|FleetAb|ScenarioDeterminism" "$@")
+EXTRA_CTEST_ARGS=(-R "ThreadPool|FleetParallel|FleetFixture|ObsRegistry|FleetMetrics|ServeConcurrency|LifecycleDeterminism|FleetScratch|FleetAb|ScenarioDeterminism|DayBatch" "$@")
 run_config build-tsan "tsan" -DCMAKE_BUILD_TYPE=Debug -DPHOEBE_SANITIZE=thread
 
 echo "All checks passed (release + asan/ubsan + tsan fleet tests)."
