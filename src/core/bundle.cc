@@ -20,6 +20,12 @@ namespace {
 // error, so config drift needs a version bump instead of silently loading.
 // ---------------------------------------------------------------------------
 
+// Format v1 carries a `batch_inference` flag per model stack from when
+// scalar scoring was selectable. There is one inference path now, so the
+// flag is written as a constant (keeping bundle bytes and checksums stable)
+// and its stored value, 0 or 1, is read and ignored.
+constexpr const char* kBatchInferenceLine = "1";
+
 void AppendKv(std::string* out, const std::string& key, const std::string& value) {
   *out += key;
   *out += ' ';
@@ -65,7 +71,7 @@ void AppendMlp(std::string* out, const std::string& p, const ml::MlpParams& m) {
 void AppendPredictor(std::string* out, const std::string& p, const PredictorConfig& c) {
   AppendKv(out, p + ".kind", StrFormat("%d", static_cast<int>(c.kind)));
   AppendKv(out, p + ".min_samples_per_type", StrFormat("%d", c.min_samples_per_type));
-  AppendKv(out, p + ".batch_inference", c.batch_inference ? "1" : "0");
+  AppendKv(out, p + ".batch_inference", kBatchInferenceLine);
   AppendKv(out, p + ".features.query_optimizer", c.features.query_optimizer ? "1" : "0");
   AppendKv(out, p + ".features.historic", c.features.historic ? "1" : "0");
   AppendKv(out, p + ".features.text", c.features.text ? "1" : "0");
@@ -83,7 +89,7 @@ std::string SerializeConfig(const PipelineConfig& cfg) {
   AppendGbdt(&out, "ttl.gbdt", cfg.ttl.gbdt);
   AppendKv(&out, "ttl.min_samples_per_type",
            StrFormat("%d", cfg.ttl.min_samples_per_type));
-  AppendKv(&out, "ttl.batch_inference", cfg.ttl.batch_inference ? "1" : "0");
+  AppendKv(&out, "ttl.batch_inference", kBatchInferenceLine);
   return out;
 }
 
@@ -216,7 +222,7 @@ Status ParsePredictor(ConfigMap& m, const std::string& p, PredictorConfig* c) {
   }
   c->kind = static_cast<ModelKind>(kind);
   PHOEBE_ASSIGN_OR_RETURN(c->min_samples_per_type, m.Int(p + ".min_samples_per_type"));
-  PHOEBE_ASSIGN_OR_RETURN(c->batch_inference, m.Bool(p + ".batch_inference"));
+  PHOEBE_RETURN_NOT_OK(m.Bool(p + ".batch_inference").status());
   PHOEBE_ASSIGN_OR_RETURN(c->features.query_optimizer,
                           m.Bool(p + ".features.query_optimizer"));
   PHOEBE_ASSIGN_OR_RETURN(c->features.historic, m.Bool(p + ".features.historic"));
@@ -240,7 +246,7 @@ Result<PipelineConfig> ParseConfig(const std::string& text) {
   PHOEBE_RETURN_NOT_OK(ParseGbdt(m, "ttl.gbdt", &cfg.ttl.gbdt));
   PHOEBE_ASSIGN_OR_RETURN(cfg.ttl.min_samples_per_type,
                           m.Int("ttl.min_samples_per_type"));
-  PHOEBE_ASSIGN_OR_RETURN(cfg.ttl.batch_inference, m.Bool("ttl.batch_inference"));
+  PHOEBE_RETURN_NOT_OK(m.Bool("ttl.batch_inference").status());
   PHOEBE_RETURN_NOT_OK(m.CheckAllUsed());
   return cfg;
 }
@@ -480,28 +486,6 @@ Result<std::shared_ptr<const PipelineBundle>> PipelineBundle::LoadFromFile(
     metrics->gauge("bundle.file.bytes")->Set(static_cast<double>(text.size()));
   }
   return FromText(text);
-}
-
-Result<std::shared_ptr<const PipelineBundle>> PipelineBundle::WithBatchInference(
-    bool on) const {
-  PipelineConfig cfg = config_;
-  cfg.exec_predictor.batch_inference = on;
-  cfg.size_predictor.batch_inference = on;
-  cfg.ttl.batch_inference = on;
-  if (!trained_) {
-    return std::shared_ptr<const PipelineBundle>(new PipelineBundle(std::move(cfg)));
-  }
-  auto exec = std::make_unique<StageCostPredictor>(cfg.exec_predictor,
-                                                   Target::kExecSeconds);
-  auto size = std::make_unique<StageCostPredictor>(cfg.size_predictor,
-                                                   Target::kOutputBytes);
-  auto ttl = std::make_unique<TtlEstimator>(cfg.ttl);
-  PHOEBE_RETURN_NOT_OK(exec->LoadFromText(exec_->ToText()));
-  PHOEBE_RETURN_NOT_OK(size->LoadFromText(size_->ToText()));
-  PHOEBE_RETURN_NOT_OK(ttl->LoadFromText(ttl_->ToText()));
-  return std::shared_ptr<const PipelineBundle>(
-      new PipelineBundle(std::move(cfg), std::move(exec), std::move(size),
-                         std::move(ttl), stats_));
 }
 
 }  // namespace phoebe::core

@@ -125,12 +125,6 @@ class PipelineBundle {
   static Result<std::shared_ptr<const PipelineBundle>> LoadFromFile(
       const std::string& path, obs::MetricsRegistry* metrics = nullptr);
 
-  /// A copy of this bundle with batched inference toggled on every model
-  /// stack — the only config change that does not invalidate trained state
-  /// (both paths are bit-identical; see DESIGN.md "Inference performance").
-  /// Trained state round-trips through the serialized form.
-  Result<std::shared_ptr<const PipelineBundle>> WithBatchInference(bool on) const;
-
  private:
   PipelineConfig config_;
   std::unique_ptr<StageCostPredictor> exec_;

@@ -65,6 +65,22 @@ void RecordModelCalls(obs::Histogram* rows, obs::Counter* calls,
   obs::Add(calls, static_cast<int64_t>(scratch.call_rows.size()));
 }
 
+/// Job k's optimizer inputs out of the per-row arrays InferCostsInto
+/// filled — the layout BuildCostsInto returns.
+void JobCostsInto(const workload::JobInstance& job, size_t k,
+                  const DecideScratch& scratch, StageCosts* out) {
+  const size_t r0 = scratch.first_row[k];
+  const size_t r1 = scratch.first_row[k + 1];
+  out->num_tasks.clear();
+  for (size_t u = 0; u < r1 - r0; ++u) out->num_tasks.push_back(job.truth[u].num_tasks);
+  out->output_bytes.assign(scratch.output_bytes.begin() + r0,
+                           scratch.output_bytes.begin() + r1);
+  out->end_time.assign(scratch.end_time.begin() + r0, scratch.end_time.begin() + r1);
+  out->tfs.assign(scratch.tfs.begin() + r0, scratch.tfs.begin() + r1);
+  out->ttl.assign(scratch.ttl_s.begin() + r0, scratch.ttl_s.begin() + r1);
+  out->job_end = scratch.job_end[k];
+}
+
 }  // namespace
 
 Result<StageCosts> DecisionEngine::BuildCosts(const workload::JobInstance& job,
@@ -85,6 +101,14 @@ Status DecisionEngine::BuildCostsInto(const workload::JobInstance& job,
                                       CostSource source,
                                       const telemetry::HistoricStats& stats,
                                       DecideScratch* scratch, StageCosts* out) const {
+  if (IsMlSource(source)) {
+    const workload::JobInstance* one[] = {&job};
+    PHOEBE_RETURN_NOT_OK(InferCostsInto(one, stats, source, scratch));
+    PHOEBE_RETURN_NOT_OK(scratch->job_status[0]);
+    JobCostsInto(job, 0, *scratch, out);
+    return Status::OK();
+  }
+
   const size_t n = job.graph.num_stages();
   out->num_tasks.clear();
   out->num_tasks.reserve(n);
@@ -119,36 +143,18 @@ Status DecisionEngine::BuildCostsInto(const workload::JobInstance& job,
   // Per-stage execution time and output size from the chosen source, written
   // straight into the arena (exec) and the result (output bytes) — no
   // zero-init-then-overwrite temporaries.
-  std::vector<double>& exec = scratch->exec;
-  switch (source) {
-    case CostSource::kOptimizerEstimates:
-      exec.resize(n);
-      out->output_bytes.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        exec[i] = std::max(0.0, job.est[i].est_exclusive_cost);
-        out->output_bytes[i] = std::max(0.0, job.est[i].est_output_bytes);
-      }
-      break;
-    case CostSource::kConstant:
-      exec.assign(n, 1.0);
-      out->output_bytes.assign(n, 1.0);
-      break;
-    case CostSource::kMlSimulator:
-    case CostSource::kMlStacked: {
-      if (!bundle_->trained()) return Status::FailedPrecondition("pipeline not trained");
-      const SourceMetrics& m = metrics_for(source);
-      obs::ScopedTimer infer_timer(m.infer_seconds);
-      bundle_->exec_predictor().PredictJobInto(job, stats, &scratch->exec_features,
-                                               &exec);
-      bundle_->size_predictor().PredictJobInto(job, stats, &scratch->size_features,
-                                               &out->output_bytes);
-      infer_timer.Stop();
-      RecordModelCalls(m.batch_stages, m.batches, scratch->exec_features);
-      RecordModelCalls(m.batch_stages, m.batches, scratch->size_features);
-      break;
+  std::vector<double>& exec = scratch->exec_s;
+  if (source == CostSource::kOptimizerEstimates) {
+    exec.resize(n);
+    out->output_bytes.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      exec[i] = std::max(0.0, job.est[i].est_exclusive_cost);
+      out->output_bytes[i] = std::max(0.0, job.est[i].est_output_bytes);
     }
-    case CostSource::kTruth:
-      PHOEBE_CHECK(false);
+  } else {
+    PHOEBE_CHECK(source == CostSource::kConstant);
+    exec.assign(n, 1.0);
+    out->output_bytes.assign(n, 1.0);
   }
 
   PHOEBE_RETURN_NOT_OK(
@@ -160,17 +166,9 @@ Status DecisionEngine::BuildCostsInto(const workload::JobInstance& job,
   // The simulator has no finalization slack (job_end == max end), so for the
   // estimate-based sources this leaves the final-clear adjustment at zero.
   out->job_end = sim.job_end;
-  if (source == CostSource::kMlStacked && bundle_->trained()) {
-    const SourceMetrics& m = metrics_for(source);
-    obs::ScopedTimer ttl_timer(m.infer_seconds);
-    bundle_->ttl_estimator().PredictInto(job, sim, &scratch->ttl_features, &out->ttl);
-    ttl_timer.Stop();
-    RecordModelCalls(m.batch_stages, m.batches, scratch->ttl_features);
-  } else {
-    out->ttl.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      out->ttl[i] = sim.Ttl(static_cast<dag::StageId>(i));
-    }
+  out->ttl.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    out->ttl[i] = sim.Ttl(static_cast<dag::StageId>(i));
   }
   return Status::OK();
 }
@@ -309,32 +307,16 @@ Status DecisionEngine::OptimizeJobInto(const workload::JobInstance& job,
   return Status::OK();
 }
 
-void DecisionEngine::DecideJobsInto(std::span<const workload::JobInstance* const> jobs,
-                                    const telemetry::HistoricStats& stats,
-                                    const DecideOptions& options,
-                                    DayDecideScratch* scratch,
-                                    std::span<JobDecision> slots) const {
-  PHOEBE_CHECK(slots.size() == jobs.size());
+Status DecisionEngine::InferCostsInto(std::span<const workload::JobInstance* const> jobs,
+                                      const telemetry::HistoricStats& stats,
+                                      CostSource source, DecideScratch* scratch) const {
+  if (!bundle_->trained()) return Status::FailedPrecondition("pipeline not trained");
   const size_t nj = jobs.size();
-  if (!IsMlSource(options.source)) {
-    for (size_t k = 0; k < nj; ++k) {
-      slots[k].status = DecideJobInto(*jobs[k], stats, options, &scratch->job,
-                                      &slots[k].decision);
-    }
-    return;
-  }
-  if (!bundle_->trained()) {
-    for (JobDecision& slot : slots) {
-      slot.status = Status::FailedPrecondition("pipeline not trained");
-    }
-    return;
-  }
-  const SourceMetrics& m = metrics_for(options.source);
-  const auto start = std::chrono::steady_clock::now();
+  const SourceMetrics& m = metrics_for(source);
   const StageCostPredictor& exec_predictor = bundle_->exec_predictor();
   const StageCostPredictor& size_predictor = bundle_->size_predictor();
 
-  // Phase 1: one stage matrix for the chunk, one model call per serving
+  // Phase 1: one stage matrix for the batch, one model call per serving
   // model for exec and for size.
   obs::ScopedTimer infer_timer(m.infer_seconds);
   std::vector<int>& types = scratch->exec.types;
@@ -370,8 +352,9 @@ void DecisionEngine::DecideJobsInto(std::span<const workload::JobInstance* const
   RecordModelCalls(m.batch_stages, m.batches, scratch->size);
 
   // Phase 2: simulate each job; ml_stacked stacks its TTL feature rows.
-  const bool stacked = options.source == CostSource::kMlStacked;
-  DecideScratch& js = scratch->job;
+  const bool stacked = source == CostSource::kMlStacked;
+  SimulatedSchedule& sim = scratch->sim;
+  scratch->job_status.resize(nj);
   scratch->end_time.resize(nr);
   scratch->tfs.resize(nr);
   scratch->ttl_s.resize(nr);
@@ -382,17 +365,16 @@ void DecisionEngine::DecideJobsInto(std::span<const workload::JobInstance* const
     const dag::JobGraph& graph = jobs[k]->graph;
     const size_t r0 = scratch->first_row[k];
     const size_t n = graph.num_stages();
-    slots[k].status = SimulateScheduleInto(
-        graph, std::span<const double>(scratch->exec_s.data() + r0, n), &js.sim_scratch,
-        &js.sim);
-    if (!slots[k].status.ok()) {
+    scratch->job_status[k] = SimulateScheduleInto(
+        graph, std::span<const double>(scratch->exec_s.data() + r0, n),
+        &scratch->sim_scratch, &sim);
+    if (!scratch->job_status[k].ok()) {
       // A zero schedule keeps this job's rows aligned with the stage rows;
-      // phase 4 skips the job, so they are never read.
-      js.sim.start.assign(n, 0.0);
-      js.sim.end.assign(n, 0.0);
-      js.sim.job_end = 0.0;
+      // callers skip the job, so they are never read.
+      sim.start.assign(n, 0.0);
+      sim.end.assign(n, 0.0);
+      sim.job_end = 0.0;
     }
-    const SimulatedSchedule& sim = js.sim;
     scratch->job_end[k] = sim.job_end;
     for (size_t u = 0; u < n; ++u) {
       scratch->end_time[r0 + u] = sim.end[u];
@@ -410,33 +392,46 @@ void DecisionEngine::DecideJobsInto(std::span<const workload::JobInstance* const
     ttl_timer.Stop();
     RecordModelCalls(m.batch_stages, m.batches, scratch->ttl);
   }
+  return Status::OK();
+}
 
-  // Phase 4: each job's costs, exactly as BuildCostsInto lays them out, then
-  // DecideJobInto's optimizer tail.
-  StageCosts& costs = js.costs;
+void DecisionEngine::DecideJobsInto(std::span<const workload::JobInstance* const> jobs,
+                                    const telemetry::HistoricStats& stats,
+                                    const DecideOptions& options,
+                                    DecideScratch* scratch,
+                                    std::span<JobDecision> slots) const {
+  PHOEBE_CHECK(slots.size() == jobs.size());
+  const size_t nj = jobs.size();
+  if (!IsMlSource(options.source)) {
+    for (size_t k = 0; k < nj; ++k) {
+      slots[k].status =
+          DecideJobInto(*jobs[k], stats, options, scratch, &slots[k].decision);
+    }
+    return;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  if (Status st = InferCostsInto(jobs, stats, options.source, scratch); !st.ok()) {
+    for (JobDecision& slot : slots) slot.status = st;
+    return;
+  }
+
+  // Phase 4: each job's costs, then the optimizer.
   for (size_t k = 0; k < nj; ++k) {
+    slots[k].status = scratch->job_status[k];
     if (!slots[k].status.ok()) continue;
-    const workload::JobInstance& job = *jobs[k];
-    const size_t r0 = scratch->first_row[k];
-    const size_t r1 = scratch->first_row[k + 1];
-    costs.num_tasks.clear();
-    for (size_t u = 0; u < r1 - r0; ++u) costs.num_tasks.push_back(job.truth[u].num_tasks);
-    costs.output_bytes.assign(scratch->output_bytes.begin() + r0,
-                              scratch->output_bytes.begin() + r1);
-    costs.end_time.assign(scratch->end_time.begin() + r0, scratch->end_time.begin() + r1);
-    costs.tfs.assign(scratch->tfs.begin() + r0, scratch->tfs.begin() + r1);
-    costs.ttl.assign(scratch->ttl_s.begin() + r0, scratch->ttl_s.begin() + r1);
-    costs.job_end = scratch->job_end[k];
-    slots[k].status = OptimizeJobInto(job, costs, options, &js, &slots[k].decision);
+    JobCostsInto(*jobs[k], k, *scratch, &scratch->costs);
+    slots[k].status =
+        OptimizeJobInto(*jobs[k], scratch->costs, options, scratch, &slots[k].decision);
   }
 
   // The shared phases have no per-job duration; each job is charged an equal
   // share of the call, so the histogram's count is jobs and its sum is time.
-  if (m.decide_seconds != nullptr && nj > 0) {
+  obs::Histogram* decide_seconds = metrics_for(options.source).decide_seconds;
+  if (decide_seconds != nullptr && nj > 0) {
     const double share =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() /
         static_cast<double>(nj);
-    for (size_t k = 0; k < nj; ++k) m.decide_seconds->Observe(share);
+    for (size_t k = 0; k < nj; ++k) decide_seconds->Observe(share);
   }
 }
 

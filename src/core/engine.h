@@ -47,54 +47,42 @@ struct DecideOptions {
   int num_cuts = 1;
 };
 
-/// \brief Per-worker scratch arena for the decide path. One instance per
-/// serving thread (a serve worker, or inside each fleet worker's
-/// DayDecideScratch) owns every intermediate buffer a decision needs —
-/// stage costs, exec estimates, the simulated schedule, three
-/// featurize→predict streams (exec, size, TTL), and the optimizer tables —
-/// so once warm (sized by the widest job seen), a steady-state
-/// DecideJobInto/DecideInto performs zero heap allocations.
-/// Never share one arena between concurrent calls; results are bit-identical
-/// regardless of which arena (or how warm an arena) served a job.
-struct DecideScratch {
-  StageCosts costs;             ///< BuildCostsInto staging for DecideJobInto
-  std::vector<double> exec;     ///< per-stage exec-seconds estimates
-  SimulatedSchedule sim;        ///< Algorithm-1 schedule (non-truth sources)
-  SimulatorScratch sim_scratch;
-  PredictScratch exec_features; ///< exec-predictor stream
-  PredictScratch size_features; ///< size-predictor stream (separate schema)
-  PredictScratch ttl_features;  ///< TTL stacking stream (4-feature schema)
-  CheckpointScratch checkpoint; ///< sweep / DP / recovery tables
-  std::vector<CutResult> multicut;  ///< num_cuts > 1 staging
-  std::vector<char> persisted;      ///< multi-cut checkpoint-stage union
-};
-
-/// \brief One job's slot on the day-batched path (DecideJobsInto):
+/// \brief One job's slot on the batched decide path (DecideJobsInto):
 /// `decision` holds the job's FleetDecision iff `status` is OK.
 struct JobDecision {
   Status status;
   FleetDecision decision;
 };
 
-/// \brief Per-worker scratch arena for DecideJobsInto. It holds a whole
-/// chunk of jobs' inference state at once — every stage row of every job in
-/// one feature matrix, and per-row exec / size / TTL estimates — plus the
-/// per-job DecideScratch the simulate and optimize phases reuse job by job.
-/// Once warm (sized by the largest chunk seen), a steady-state call performs
-/// no heap allocation. Never share one between concurrent calls.
-struct DayDecideScratch {
-  DecideScratch job;                ///< per-job simulate / optimize tail
+/// \brief Per-worker scratch arena for the decide path. One instance per
+/// serving thread (a serve worker, a fleet worker, a bench loop) owns every
+/// intermediate buffer a decision needs — a whole batch of jobs' inference
+/// state at once (every stage row of every job in one feature matrix, and
+/// per-row exec / size / TTL estimates), one job's stage costs, its
+/// simulated schedule, and the optimizer tables — so once warm (sized by the
+/// largest batch and widest job seen), a steady-state DecideJobInto,
+/// DecideInto or DecideJobsInto performs zero heap allocations. Never share
+/// one arena between concurrent calls; results are bit-identical regardless
+/// of which arena (or how warm an arena) served a job.
+struct DecideScratch {
+  StageCosts costs;                 ///< one job's optimizer inputs
   std::vector<size_t> first_row;    ///< job k owns rows [first_row[k], first_row[k+1])
-  PredictScratch exec;              ///< day stage matrix + exec-model buckets
+  std::vector<Status> job_status;   ///< per-job schedule-simulation status
+  PredictScratch exec;              ///< stage matrix + exec-model buckets
   PredictScratch size;              ///< size-model buckets (own matrix only
                                     ///< when its FeatureConfig differs)
-  PredictScratch ttl;               ///< day stacking matrix + TTL buckets
+  PredictScratch ttl;               ///< stacking matrix + TTL buckets
   std::vector<double> exec_s;       ///< per-row exec-seconds estimates
   std::vector<double> output_bytes; ///< per-row output-size estimates
   std::vector<double> end_time;     ///< per-row simulated end
   std::vector<double> tfs;          ///< per-row simulated start
   std::vector<double> ttl_s;        ///< per-row TTL (stacked or simulated)
   std::vector<double> job_end;      ///< per-job simulated end
+  SimulatedSchedule sim;            ///< Algorithm-1 schedule (non-truth sources)
+  SimulatorScratch sim_scratch;
+  CheckpointScratch checkpoint;     ///< sweep / DP / recovery tables
+  std::vector<CutResult> multicut;  ///< num_cuts > 1 staging
+  std::vector<char> persisted;      ///< multi-cut checkpoint-stage union
 };
 
 /// \brief Stateless decide-time facade over one immutable bundle.
@@ -134,7 +122,9 @@ class DecisionEngine {
 
   /// BuildCosts onto a scratch arena: `*out` is fully overwritten (it may be
   /// `&scratch->costs`). Bit-identical to BuildCosts; with a warm arena the
-  /// non-truth paths allocate nothing (FeatureConfig::text excepted).
+  /// non-truth paths allocate nothing (FeatureConfig::text excepted). For
+  /// the ML sources this is the one-job case of DecideJobsInto's inference
+  /// phases.
   Status BuildCostsInto(const workload::JobInstance& job, CostSource source,
                         const telemetry::HistoricStats& stats, DecideScratch* scratch,
                         StageCosts* out) const;
@@ -172,19 +162,20 @@ class DecisionEngine {
   /// Decide many jobs at once: slot k receives exactly what DecideJobInto
   /// returns for *jobs[k] (status and decision, byte for byte). For the ML
   /// cost sources the call runs in four phases, so each serving model sees
-  /// all of its rows in one call instead of one to three per job:
+  /// all of the batch's rows in one call (DecideJobInto is the one-job
+  /// case of the same phases):
   ///   1. featurize every job's stages into one matrix (shared by the exec
   ///      and size predictors when their FeatureConfigs are equal) and score
   ///      it with one PredictRowsInto per serving model, for exec and size;
   ///   2. simulate each job from its exec estimates;
   ///   3. (ml_stacked) score every stacking row with one call per TTL model;
-  ///   4. run each job's optimizer through DecideJobInto's tail.
-  /// Other sources build their costs per job, as DecideJobInto does. Each
-  /// row's prediction depends on that row alone, so grouping never changes
-  /// a value. `slots.size()` must equal `jobs.size()`.
+  ///   4. lay out each job's costs and run its optimizer.
+  /// Other sources decide job by job through DecideJobInto. Each row's
+  /// prediction depends on that row alone, so grouping never changes a
+  /// value. `slots.size()` must equal `jobs.size()`.
   void DecideJobsInto(std::span<const workload::JobInstance* const> jobs,
                       const telemetry::HistoricStats& stats,
-                      const DecideOptions& options, DayDecideScratch* scratch,
+                      const DecideOptions& options, DecideScratch* scratch,
                       std::span<JobDecision> slots) const;
 
  private:
@@ -201,8 +192,16 @@ class DecisionEngine {
     return source_metrics_[static_cast<size_t>(source)];
   }
 
-  /// The objective's optimizer over prebuilt costs: DecideJobInto's tail,
-  /// shared with DecideJobsInto's phase 4.
+  /// Phases 1-3 of the ML decide path over `jobs` (ml_sim / ml_stacked):
+  /// per-row exec, size, simulated schedule and TTL in `scratch`, and each
+  /// job's simulation status in scratch->job_status. Fails as a whole only
+  /// when the bundle is untrained.
+  Status InferCostsInto(std::span<const workload::JobInstance* const> jobs,
+                        const telemetry::HistoricStats& stats, CostSource source,
+                        DecideScratch* scratch) const;
+
+  /// The objective's optimizer over prebuilt costs: the tail of
+  /// DecideJobInto and of DecideJobsInto's phase 4.
   Status OptimizeJobInto(const workload::JobInstance& job, const StageCosts& costs,
                          const DecideOptions& options, DecideScratch* scratch,
                          FleetDecision* out) const;

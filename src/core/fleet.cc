@@ -94,8 +94,8 @@ void DecideAll(const DecisionEngine& engine, const FleetConfig& config,
   const DecideOptions options = config.decide_options();
   const int threads = ThreadPool::Resolve(config.num_threads);
   const size_t chunks = std::min(static_cast<size_t>(std::max(threads, 1)), n);
-  std::vector<std::unique_ptr<DayDecideScratch>> arenas(chunks);
-  for (auto& a : arenas) a = std::make_unique<DayDecideScratch>();
+  std::vector<std::unique_ptr<DecideScratch>> arenas(chunks);
+  for (auto& a : arenas) a = std::make_unique<DecideScratch>();
   auto decide_chunk = [&](int worker, size_t c) {
     const size_t begin = n * c / chunks;
     const size_t end = n * (c + 1) / chunks;

@@ -164,14 +164,14 @@ struct DayContext {
 /// it — fleet config, template decision cache, admission calibration, and
 /// resolved metric pointers. Arms own all bundle-specific day-loop state, so
 /// any number of them can run over one DayContext; each keeps its own cache
-/// and its own per-worker DayDecideScratch arenas (created per decide
+/// and its own per-worker DecideScratch arenas (created per decide
 /// phase), and admission replays per arm in arrival order.
 class DecisionArm {
  public:
   /// \param engine const serving engine (borrowed; must outlive the arm).
   /// The engine's bundle is immutable, so the parallel phase is safe by
   /// construction; just don't re-seat the engine (PhoebePipeline::Train /
-  /// Load / set_batch_inference) while an arm call is in flight.
+  /// Load) while an arm call is in flight.
   DecisionArm(const DecisionEngine* engine, FleetConfig config);
 
   /// Calibrate the admission threshold from a historical day's decisions.

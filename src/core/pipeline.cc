@@ -26,15 +26,6 @@ PhoebePipeline::PhoebePipeline(PipelineConfig config)
     : config_(std::move(config)),
       engine_(std::make_shared<const PipelineBundle>(config_)) {}
 
-void PhoebePipeline::set_batch_inference(bool on) {
-  config_.exec_predictor.batch_inference = on;
-  config_.size_predictor.batch_inference = on;
-  config_.ttl.batch_inference = on;
-  auto toggled = engine_.bundle().WithBatchInference(on);
-  toggled.status().Check();  // round-trips our own serialized form
-  engine_ = DecisionEngine(std::move(*toggled));
-}
-
 Status PhoebePipeline::Train(const telemetry::WorkloadRepository& repo, int first_day,
                              int num_days) {
   if (num_days < 1) return Status::InvalidArgument("num_days must be >= 1");

@@ -24,9 +24,9 @@ namespace phoebe::core {
 /// returns — trained state lives in an immutable PipelineBundle, and every
 /// inference entry point delegates to the const-only DecisionEngine, so
 /// concurrent inference calls on one trained pipeline are safe
-/// (core_fleet_parallel_test pins this under TSan). Train, Load, LoadBundle,
-/// and set_batch_inference swap the bundle and must not overlap any
-/// inference call or outstanding engine() use.
+/// (core_fleet_parallel_test pins this under TSan). Train, Load and
+/// LoadBundle swap the bundle and must not overlap any inference call or
+/// outstanding engine() use.
 class PhoebePipeline {
  public:
   explicit PhoebePipeline(PipelineConfig config = DefaultConfig());
@@ -50,13 +50,6 @@ class PhoebePipeline {
   std::shared_ptr<const PipelineBundle> bundle() const {
     return engine_.shared_bundle();
   }
-
-  /// Toggle batched inference on all three model stacks at once (predictors
-  /// and TTL stacking). Both paths are bit-identical; this exists so a single
-  /// trained pipeline can be benchmarked batch-on vs. batch-off without
-  /// retraining. Mutator: swaps the bundle (trained state round-trips
-  /// through the serialized form), so it must not overlap inference.
-  void set_batch_inference(bool on);
 
   const telemetry::HistoricStats& inference_stats() const {
     return engine_.inference_stats();

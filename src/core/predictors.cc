@@ -131,15 +131,15 @@ void StageCostPredictor::PredictMatrixInto(const ml::FeatureMatrix& m,
                                            std::vector<double>* out) const {
   PHOEBE_CHECK_MSG(trained_, "PredictMatrixInto called before Train");
   PredictByServingModel(m, types, per_type_, *general_, &calibration_,
-                        general_calibration_, config_.batch_inference, scratch, out);
+                        general_calibration_, scratch, out);
 }
 
 void PredictByServingModel(const ml::FeatureMatrix& m, std::span<const int> types,
                            const std::map<int, ml::GbdtRegressor>& per_type,
                            const ml::Regressor& general,
                            const std::map<int, double>* calibration,
-                           double general_calibration, bool batched,
-                           PredictScratch* scratch, std::vector<double>* out) {
+                           double general_calibration, PredictScratch* scratch,
+                           std::vector<double>* out) {
   const size_t nr = m.num_rows();
   PHOEBE_CHECK(types.size() == nr);
   out->resize(nr);
@@ -148,22 +148,6 @@ void PredictByServingModel(const ml::FeatureMatrix& m, std::span<const int> type
     const double y = std::max(0.0, StageFeaturizer::ExpandTarget(y_log));
     return calibrated ? y * cal : y;
   };
-
-  if (!batched) {
-    // Scalar reference path: one Predict per row, exactly what
-    // StageCostPredictor::PredictStage computes.
-    for (size_t r = 0; r < nr; ++r) {
-      auto it = per_type.find(types[r]);
-      const bool typed = it != per_type.end();
-      const double y_log = typed ? it->second.Predict(m.Row(r)) : general.Predict(m.Row(r));
-      const double cal = !calibration ? 1.0
-                         : typed      ? calibration->at(types[r])
-                                      : general_calibration;
-      (*out)[r] = finish(y_log, cal, calibration != nullptr);
-    }
-    scratch->call_rows.assign(nr, 1);
-    return;
-  }
 
   // Counting sort of the rows into one bucket per serving model. Bucket b <
   // per_type.size() is the b-th per-type model (ascending stage type), the

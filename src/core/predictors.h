@@ -33,11 +33,6 @@ struct PredictorConfig {
   ml::MlpParams mlp;
   /// Stage types with fewer training rows than this use the general model.
   int min_samples_per_type = 100;
-  /// Score a job's (or a day's) stage rows with one PredictRowsInto call per
-  /// serving model instead of a scalar Predict per stage. Bit-equal to the
-  /// scalar path (the batch overrides pin that contract), so this is purely
-  /// a throughput knob.
-  bool batch_inference = true;
 };
 
 /// \brief One training example: a job paired with the historic statistics
@@ -48,11 +43,10 @@ struct TrainExample {
 };
 
 /// \brief Reusable featurize→predict working storage for one inference
-/// stream (see core/engine.h DecideScratch and DayDecideScratch). A warm
-/// scratch — one that has seen the widest job (or day) of the workload —
-/// makes every predict call on it allocation-free: the feature matrix, the
-/// per-model row buckets, and the log-space output buffer are all recycled
-/// in place.
+/// stream (see core/engine.h DecideScratch). A warm scratch — one that has
+/// seen the widest job (or day) of the workload — makes every predict call
+/// on it allocation-free: the feature matrix, the per-model row buckets, and
+/// the log-space output buffer are all recycled in place.
 struct PredictScratch {
   ml::FeatureMatrix matrix;    ///< feature rows: one job's, or a whole day's
   std::vector<double> row;     ///< per-stage staging row
@@ -64,17 +58,17 @@ struct PredictScratch {
   std::vector<int> model_types;  ///< stage types that have a per-type model
   std::vector<double> y_log;   ///< model outputs for one bucket (log space)
   /// Rows passed to each model call made by the last predict call, in call
-  /// order (1 per row on the scalar path) — inference-batch telemetry.
+  /// order — inference-batch telemetry.
   std::vector<size_t> call_rows;
 };
 
-/// The one batched scorer behind StageCostPredictor and TtlEstimator, for
-/// one job's rows or a whole day's. Row r of `m` is a stage of type
-/// `types[r]`; it is served by `per_type`'s model for that type, or by
-/// `general` when there is none. Rows are bucketed by serving model (per-type
-/// models in ascending type, the general model last; rows ascending within a
-/// bucket) and each model is called once over its bucket — or once per row
-/// when `batched` is false. The prediction is max(0, expm1(y_log)), times
+/// The one scorer behind StageCostPredictor and TtlEstimator, for one job's
+/// rows or a whole day's. Row r of `m` is a stage of type `types[r]`; it is
+/// served by `per_type`'s model for that type, or by `general` when there is
+/// none. Rows are bucketed by serving model (per-type models in ascending
+/// type, the general model last; rows ascending within a bucket) and each
+/// model is called once over its bucket. The prediction is
+/// max(0, expm1(y_log)), times
 /// `calibration->at(type)` / `general_calibration` when `calibration` is
 /// non-null. Every row's value depends on that row alone, so it is
 /// bit-identical however rows are grouped. `m`/`types` may be
@@ -83,8 +77,8 @@ void PredictByServingModel(const ml::FeatureMatrix& m, std::span<const int> type
                            const std::map<int, ml::GbdtRegressor>& per_type,
                            const ml::Regressor& general,
                            const std::map<int, double>* calibration,
-                           double general_calibration, bool batched,
-                           PredictScratch* scratch, std::vector<double>* out);
+                           double general_calibration, PredictScratch* scratch,
+                           std::vector<double>* out);
 
 /// \brief Predicts one target (exec time or output size) per stage.
 class StageCostPredictor {
@@ -109,10 +103,9 @@ class StageCostPredictor {
   double PredictStage(const workload::JobInstance& job, int stage_id,
                       const telemetry::HistoricStats& stats) const;
 
-  /// Predict all stages of a job. With config().batch_inference on, stages
-  /// are grouped by serving model and scored with one PredictRowsInto call
-  /// per group; otherwise each stage is a scalar Predict. Both paths return
-  /// bit-identical values.
+  /// Predict all stages of a job: stages are grouped by serving model and
+  /// scored with one PredictRowsInto call per group. Bit-identical to
+  /// PredictStage per stage.
   std::vector<double> PredictJob(const workload::JobInstance& job,
                                  const telemetry::HistoricStats& stats) const;
 
@@ -127,19 +120,13 @@ class StageCostPredictor {
 
   /// Score every row of a stage matrix built by featurizer() (row r is a
   /// stage of type `types[r]`, from any job): rows are bucketed by serving
-  /// model and each model is called once over its bucket (or, with
-  /// batch_inference off, once per row). `(*out)[r]` is bit-identical to
-  /// PredictStage for that row's stage; no allocation once `scratch` and
-  /// `out` are warm. `m`/`types` may be scratch->matrix/scratch->types;
-  /// `out` must not alias scratch fields. Records each call's row count in
-  /// scratch->call_rows.
+  /// model and each model is called once over its bucket. `(*out)[r]` is
+  /// bit-identical to PredictStage for that row's stage; no allocation once
+  /// `scratch` and `out` are warm. `m`/`types` may be
+  /// scratch->matrix/scratch->types; `out` must not alias scratch fields.
+  /// Records each call's row count in scratch->call_rows.
   void PredictMatrixInto(const ml::FeatureMatrix& m, std::span<const int> types,
                          PredictScratch* scratch, std::vector<double>* out) const;
-
-  /// Toggle batched scoring after construction (e.g. for benchmarking both
-  /// paths on one trained predictor). Not safe to call concurrently with
-  /// inference.
-  void set_batch_inference(bool on) { config_.batch_inference = on; }
 
   /// Number of per-stage-type models actually trained (0 for general kinds).
   size_t num_type_models() const { return per_type_.size(); }

@@ -126,7 +126,7 @@ void TtlEstimator::PredictMatrixInto(const ml::FeatureMatrix& m,
                                      std::vector<double>* out) const {
   PHOEBE_CHECK_MSG(trained_, "TtlEstimator::PredictMatrixInto called before Train");
   PredictByServingModel(m, types, per_type_, *general_, /*calibration=*/nullptr, 1.0,
-                        config_.batch_inference, scratch, out);
+                        scratch, out);
 }
 
 std::string TtlEstimator::ToText() const {

@@ -27,9 +27,6 @@ struct TtlConfig {
     return p;
   }();
   int min_samples_per_type = 100;
-  /// Score stacking rows with one PredictRowsInto call per stacking model
-  /// (bit-equal to the scalar loop; throughput knob only).
-  bool batch_inference = true;
 };
 
 /// \brief Stacked TTL estimator.
@@ -54,8 +51,8 @@ class TtlEstimator {
 
   /// Stacked TTL predictions for every stage given the simulated schedule.
   /// Falls back to the raw simulator TTL if no model covers a stage type.
-  /// With config batch_inference on, stages are grouped by stacking model and
-  /// scored in one PredictBatch per group (bit-identical results).
+  /// Stages are grouped by stacking model and scored with one
+  /// PredictRowsInto call per group.
   std::vector<double> Predict(const workload::JobInstance& job,
                               const SimulatedSchedule& sim) const;
 
@@ -73,10 +70,6 @@ class TtlEstimator {
   /// row's stage; call sizes go to scratch->call_rows.
   void PredictMatrixInto(const ml::FeatureMatrix& m, std::span<const int> types,
                          PredictScratch* scratch, std::vector<double>* out) const;
-
-  /// Toggle batched scoring after construction. Not safe to call
-  /// concurrently with inference.
-  void set_batch_inference(bool on) { config_.batch_inference = on; }
 
   /// Stacking feature row: the stage's "position" within the job.
   static std::vector<double> StackingFeatures(const SimulatedSchedule& sim,

@@ -399,38 +399,6 @@ void GbdtRegressor::RebuildFlatForest() {
   }
 }
 
-std::vector<double> GbdtRegressor::PredictBatch(const FeatureMatrix& x) const {
-  PHOEBE_CHECK_MSG(fitted_, "PredictBatch called before Fit");
-  const size_t nr = x.num_rows();
-  std::vector<double> out(nr, base_score_);
-  if (nr == 0) return out;
-  PHOEBE_CHECK(x.num_features() == num_features_);
-
-  const int32_t* feat = flat_.feature.data();
-  const double* thresh = flat_.threshold.data();
-  const int32_t* left = flat_.left.data();
-  const int32_t* right = flat_.right.data();
-  const double* value = flat_.value.data();
-
-  constexpr size_t kRowBlock = 64;
-  const double* rows[kRowBlock];
-  for (size_t b0 = 0; b0 < nr; b0 += kRowBlock) {
-    const size_t bn = std::min(kRowBlock, nr - b0);
-    for (size_t k = 0; k < bn; ++k) rows[k] = x.Row(b0 + k).data();
-    for (int32_t r0 : flat_.root) {
-      for (size_t k = 0; k < bn; ++k) {
-        int32_t idx = r0;
-        int32_t f;
-        while ((f = feat[idx]) >= 0) {
-          idx = rows[k][f] <= thresh[idx] ? left[idx] : right[idx];
-        }
-        out[b0 + k] += value[idx];
-      }
-    }
-  }
-  return out;
-}
-
 void GbdtRegressor::PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
                                     std::vector<double>* out) const {
   PHOEBE_CHECK_MSG(fitted_, "PredictRowsInto called before Fit");

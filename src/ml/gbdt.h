@@ -84,13 +84,9 @@ class GbdtRegressor : public Regressor {
 
   /// Batched forest traversal over the flattened SoA node arrays: tree-major
   /// within fixed row blocks, so one tree's nodes stay cache-hot while a
-  /// whole block of rows walks it. Bit-equal to the scalar Predict (same
+  /// whole block of rows walks it, writing into a caller-owned buffer (no
+  /// allocation once `out` is warm). Bit-equal to the scalar Predict (same
   /// thresholds, same per-row tree accumulation order).
-  std::vector<double> PredictBatch(const FeatureMatrix& x) const override;
-
-  /// Same blocked tree-major traversal over an explicit row subset, writing
-  /// into a caller-owned buffer (no allocation once `out` is warm). Per-row
-  /// accumulation order matches Predict exactly, so results stay bit-equal.
   void PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
                        std::vector<double>* out) const override;
 
@@ -117,7 +113,7 @@ class GbdtRegressor : public Regressor {
  private:
   Status FitCore(const Dataset& train, const Dataset* valid);
 
-  /// Serving layout for PredictBatch: all trees' nodes concatenated into
+  /// Serving layout for PredictRowsInto: all trees' nodes concatenated into
   /// contiguous structure-of-arrays columns (child indices already offset
   /// into the concatenated arrays), replacing the per-tree vector-of-structs
   /// pointer chase. Rebuilt from `trees_` after Fit and FromText; never

@@ -23,8 +23,7 @@ class RidgeRegressor : public Regressor {
 
   Status Fit(const Dataset& data) override;
   double Predict(std::span<const double> features) const override;
-  /// Row-subset scoring without the per-row virtual dispatch of the base
-  /// implementation; same dot product, bit-equal to Predict.
+  /// Row-subset scoring: the same dot product as Predict, bit-equal.
   void PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
                        std::vector<double>* out) const override;
   bool fitted() const override { return fitted_; }

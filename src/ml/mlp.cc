@@ -200,54 +200,6 @@ double MlpRegressor::Predict(std::span<const double> features) const {
   return Forward(features, nullptr);
 }
 
-std::vector<double> MlpRegressor::PredictBatch(const FeatureMatrix& x) const {
-  PHOEBE_CHECK_MSG(fitted_, "PredictBatch called before Fit");
-  const size_t nr = x.num_rows();
-  std::vector<double> out(nr, 0.0);
-  if (nr == 0) return out;
-  PHOEBE_CHECK(x.num_features() == x_mean_.size());
-
-  // Widest activation across input and every layer; each row occupies a
-  // fixed max_w-sized slot in the ping-pong buffers so layers can swap
-  // buffers without reshaping.
-  size_t max_w = x_mean_.size();
-  for (const Layer& l : layers_) max_w = std::max(max_w, static_cast<size_t>(l.out));
-
-  constexpr size_t kRowBlock = 32;
-  std::vector<double> buf_a(kRowBlock * max_w, 0.0);
-  std::vector<double> buf_b(kRowBlock * max_w, 0.0);
-  for (size_t b0 = 0; b0 < nr; b0 += kRowBlock) {
-    const size_t bn = std::min(kRowBlock, nr - b0);
-    for (size_t k = 0; k < bn; ++k) {
-      auto row = x.Row(b0 + k);
-      double* dst = buf_a.data() + k * max_w;
-      for (size_t f = 0; f < x_mean_.size(); ++f) {
-        dst[f] = (row[f] - x_mean_[f]) / x_std_[f];
-      }
-    }
-    double* cur = buf_a.data();
-    double* nxt = buf_b.data();
-    for (size_t l = 0; l < layers_.size(); ++l) {
-      const Layer& layer = layers_[l];
-      const bool relu = l + 1 < layers_.size();
-      for (int o = 0; o < layer.out; ++o) {
-        const double bias = layer.b[static_cast<size_t>(o)];
-        const double* wrow =
-            layer.w.data() + static_cast<size_t>(o) * static_cast<size_t>(layer.in);
-        for (size_t k = 0; k < bn; ++k) {
-          const double* in_row = cur + k * max_w;
-          double s = bias;
-          for (int i = 0; i < layer.in; ++i) s += wrow[i] * in_row[static_cast<size_t>(i)];
-          nxt[k * max_w + static_cast<size_t>(o)] = relu ? std::max(0.0, s) : s;
-        }
-      }
-      std::swap(cur, nxt);
-    }
-    for (size_t k = 0; k < bn; ++k) out[b0 + k] = cur[k * max_w] * y_std_ + y_mean_;
-  }
-  return out;
-}
-
 void MlpRegressor::PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
                                    std::vector<double>* out) const {
   PHOEBE_CHECK_MSG(fitted_, "PredictRowsInto called before Fit");
@@ -256,6 +208,9 @@ void MlpRegressor::PredictRowsInto(const FeatureMatrix& x, std::span<const size_
   if (nr == 0) return;
   PHOEBE_CHECK(x.num_features() == x_mean_.size());
 
+  // Widest activation across input and every layer; each row occupies a
+  // fixed max_w-sized slot in the ping-pong buffers so layers can swap
+  // buffers without reshaping.
   size_t max_w = x_mean_.size();
   for (const Layer& l : layers_) max_w = std::max(max_w, static_cast<size_t>(l.out));
 

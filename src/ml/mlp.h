@@ -36,16 +36,13 @@ class MlpRegressor : public Regressor {
   Status Fit(const Dataset& data) override;
   double Predict(std::span<const double> features) const override;
 
-  /// GEMM-style blocked forward pass: fixed row blocks flow through all
-  /// layers using two flat ping-pong buffers, with each weight row reused
-  /// across the whole block (loop order layer → output neuron → row → input).
-  /// No per-row heap allocations, unlike the scalar Forward. Bit-equal to the
-  /// row loop: the inner input-index accumulation order is unchanged.
-  std::vector<double> PredictBatch(const FeatureMatrix& x) const override;
-
-  /// Blocked forward pass over an explicit row subset into a caller-owned
-  /// buffer. The ping-pong activation buffers are per-thread and sized once,
-  /// so a warm caller sees no heap traffic. Bit-equal to Predict.
+  /// GEMM-style blocked forward pass over an explicit row subset into a
+  /// caller-owned buffer: fixed row blocks flow through all layers using two
+  /// flat ping-pong buffers, with each weight row reused across the whole
+  /// block (loop order layer → output neuron → row → input). The buffers are
+  /// per-thread and sized once, so a warm caller sees no heap traffic.
+  /// Bit-equal to Predict: the inner input-index accumulation order is
+  /// unchanged.
   void PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
                        std::vector<double>* out) const override;
 

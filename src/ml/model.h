@@ -21,22 +21,19 @@ class Regressor {
   /// Predict one row (length must equal the training feature count).
   virtual double Predict(std::span<const double> features) const = 0;
 
-  /// Predict all rows of a matrix. The base implementation is the scalar row
-  /// loop; learners with a vectorizable forward pass (GBDT, MLP) override it
-  /// with a blocked traversal. Every override must be *bit-equal* to the row
-  /// loop — same model, same row, same double — so callers may switch between
-  /// the paths freely (prop_batch_inference_test pins this contract).
-  virtual std::vector<double> PredictBatch(const FeatureMatrix& x) const;
+  /// Predict all rows of a matrix: PredictRowsInto over every row, so it
+  /// holds the same bit-equality contract.
+  std::vector<double> PredictBatch(const FeatureMatrix& x) const;
 
   /// Predict an explicit row subset into a caller-owned buffer: `out` is
   /// resized to `rows.size()` and `(*out)[k]` equals `Predict(x.Row(rows[k]))`
-  /// bit for bit. This is the zero-steady-state-allocation serving entry
-  /// point: overrides may only touch caller-owned or per-thread buffers, so a
-  /// warm caller reusing `out` triggers no heap traffic. The base
-  /// implementation is the scalar row loop; blocked overrides (GBDT, MLP) are
-  /// held to the same bit-equality contract as PredictBatch.
+  /// bit for bit — same model, same row, same double, whatever the blocking
+  /// (the batch-inference property tests pin this for every learner). This
+  /// is the one inference kernel and the zero-steady-state-allocation serving
+  /// entry point: implementations may only touch caller-owned or per-thread
+  /// buffers, so a warm caller reusing `out` triggers no heap traffic.
   virtual void PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
-                               std::vector<double>* out) const;
+                               std::vector<double>* out) const = 0;
 
   /// True once Fit succeeded.
   virtual bool fitted() const = 0;

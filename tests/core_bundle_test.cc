@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
+#include "common/strings.h"
 #include "core/bundle.h"
 #include "core/engine.h"
 #include "core/pipeline.h"
@@ -200,15 +202,43 @@ TEST_F(BundleFixture, LoadedConfigMatchesSaved) {
   EXPECT_EQ((*bundle)->delta(), 0.00123);
 }
 
-TEST_F(BundleFixture, WithBatchInferenceTogglePreservesDecisions) {
+/// `text` with each of the three per-stack inference-flag lines set to
+/// `value` and the checksum line recomputed over the edited payload.
+std::string WithInferenceFlag(std::string text, char value) {
+  for (const std::string key :
+       {"\nexec.batch_inference 1\n", "\nsize.batch_inference 1\n",
+        "\nttl.batch_inference 1\n"}) {
+    const size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at != std::string::npos) text[at + key.size() - 2] = value;
+  }
+  const size_t magic_end = text.find('\n');
+  const size_t payload_begin = text.find('\n', magic_end + 1) + 1;
+  const std::string payload = text.substr(payload_begin);
+  return text.substr(0, magic_end + 1) + StrFormat("checksum %08x\n", Crc32(payload)) +
+         payload;
+}
+
+TEST_F(BundleFixture, LegacyScalarInferenceFlagIsReadAndIgnored) {
+  // Format v1 bundles saved while scalar scoring was selectable may carry
+  // `batch_inference 0`. There is one inference path now: such a bundle must
+  // load, decide byte-identically, name the same trained state, and
+  // re-serialize to the bytes a fresh save writes.
   PhoebePipeline p = TrainSmall(ModelKind::kGbdtPerStageType);
-  auto off = p.bundle()->WithBatchInference(false);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_FALSE((*off)->config().exec_predictor.batch_inference);
-  DecisionEngine on_engine(p.bundle());
-  DecisionEngine off_engine(*off);
-  ExpectBitIdenticalDecisions(on_engine, off_engine, repo_->Day(3),
-                              repo_->StatsBefore(3));
+  auto text = p.bundle()->ToText();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  const std::string legacy = WithInferenceFlag(*text, '0');
+  ASSERT_NE(legacy, *text);
+  auto loaded = PipelineBundle::FromText(legacy);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->checksum(), p.bundle()->checksum());
+  auto resaved = (*loaded)->ToText();
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_EQ(*resaved, *text);
+  ExpectBitIdenticalDecisions(DecisionEngine(p.bundle()), DecisionEngine(*loaded),
+                              repo_->Day(3), repo_->StatsBefore(3));
+  // The flag is still a strict v1 bool: any other value is rejected.
+  EXPECT_FALSE(PipelineBundle::FromText(WithInferenceFlag(*text, '2')).ok());
 }
 
 }  // namespace

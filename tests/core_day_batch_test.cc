@@ -1,12 +1,15 @@
-// Byte-identity gate for the day-batched decide path: DecideJobsInto must
-// give every job exactly the status and decision that per-job DecideJobInto
-// gives it — for all five cost sources, temp storage with one and two cuts,
-// recovery, jobs with fewer than two stages, and stages priced by the
-// general fallback model — and the fleet day loop built on it must
+// Byte-identity gate for the batched decide path: DecideJobsInto must give
+// every job exactly the status and decision that per-job DecideJobInto (its
+// one-job case) gives it — for all five cost sources, temp storage with one
+// and two cuts, recovery, jobs with fewer than two stages, and stages priced
+// by the general fallback model — and the fleet day loop built on it must
 // reproduce, byte for byte, a replay of per-job decisions at 1 and 4
-// threads with the template cache off and on. Runs under TSan in
-// tools/run_checks.sh (the "DayBatch" leg): the 4-thread fleet cases decide
-// one contiguous chunk per worker.
+// threads with the template cache off and on. Independently of the engine,
+// the one path is checked against the public per-layer calls: whole-day
+// PredictMatrixInto against scalar PredictStage, and BuildCosts against
+// PredictJobInto + SimulateScheduleInto + the TTL stacker. Runs under TSan
+// in tools/run_checks.sh (the "DayBatch" leg): the 4-thread fleet cases
+// decide one contiguous chunk per worker.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +19,8 @@
 #include "core/fleet.h"
 #include "core/fleet_shard.h"
 #include "core/pipeline.h"
+#include "core/simulator.h"
+#include "core/ttl.h"
 #include "obs/metrics.h"
 #include "telemetry/repository.h"
 #include "workload/generator.h"
@@ -122,7 +127,7 @@ class DayBatchDecideTest : public ::testing::Test {
     std::vector<const workload::JobInstance*> batch;
     for (const workload::JobInstance& job : jobs) batch.push_back(&job);
     std::vector<JobDecision> slots(jobs.size());
-    DayDecideScratch day;
+    DecideScratch day;
     for (size_t b = 0; b < batch.size(); b += chunk) {
       const size_t n = std::min(chunk, batch.size() - b);
       engine.DecideJobsInto(std::span(batch).subspan(b, n), stats, options, &day,
@@ -178,13 +183,89 @@ TEST_F(DayBatchDecideTest, SeparateSizeFeaturesMatchPerJob) {
   }
 }
 
-TEST_F(DayBatchDecideTest, ScalarInferenceMatchesPerJob) {
+TEST_F(DayBatchDecideTest, DayMatrixMatchesScalarPredictStage) {
+  // The whole test day in one matrix, scored per serving model, against
+  // the scalar Predict reference row by row — for exec and size, over rows
+  // served by per-type models and by the general fallback.
+  const PipelineBundle& bundle = *pipeline_->bundle();
+  const telemetry::HistoricStats stats = repo_->StatsBefore(kTestDay);
+  const std::vector<workload::JobInstance>& jobs = repo_->Day(kTestDay);
+  for (const StageCostPredictor* predictor :
+       {&bundle.exec_predictor(), &bundle.size_predictor()}) {
+    SCOPED_TRACE(predictor == &bundle.exec_predictor() ? "exec" : "size");
+    PredictScratch scratch;
+    for (const workload::JobInstance& job : jobs) {
+      predictor->featurizer().AppendJobRows(job, stats, &scratch.row, &scratch.matrix);
+      for (size_t u = 0; u < job.graph.num_stages(); ++u) {
+        scratch.types.push_back(job.graph.stage(static_cast<dag::StageId>(u)).stage_type);
+      }
+    }
+    std::vector<double> got;
+    predictor->PredictMatrixInto(scratch.matrix, scratch.types, &scratch, &got);
+    ASSERT_EQ(got.size(), scratch.types.size());
+    size_t r = 0;
+    for (const workload::JobInstance& job : jobs) {
+      for (size_t u = 0; u < job.graph.num_stages(); ++u, ++r) {
+        ASSERT_EQ(got[r], predictor->PredictStage(job, static_cast<int>(u), stats))
+            << "job " << job.job_id << " stage " << u;
+      }
+    }
+    const size_t type_models = predictor->num_type_models();
+    ASSERT_GT(type_models, 0u);
+    ASSERT_EQ(scratch.bucket.size(), type_models + 2);
+    EXPECT_GT(scratch.bucket[type_models], 0u) << "no row used a per-type model";
+    EXPECT_GT(scratch.bucket[type_models + 1], scratch.bucket[type_models])
+        << "no row fell back to the general model";
+  }
+}
+
+TEST_F(DayBatchDecideTest, BuildCostsMatchesThePublicPerLayerCalls) {
+  // BuildCosts (the engine's one-job batch) against the layer calls a
+  // caller can make by hand: exec and size per job, Algorithm-1 schedule,
+  // then the stacking model (ml_stacked) or the simulator TTL (ml_sim). The
+  // split pipeline covers a size predictor with its own feature schema.
+  const telemetry::HistoricStats stats = repo_->StatsBefore(kTestDay);
   const std::vector<workload::JobInstance> jobs = DayWithSmallJobs();
-  pipeline_->set_batch_inference(false);
-  ExpectDayMatchesPerJob(pipeline_->engine(), jobs,
-                         DecideOptions{Objective::kTempStorage, CostSource::kMlStacked, 1},
-                         jobs.size());
-  pipeline_->set_batch_inference(true);
+  PredictScratch exec_scratch, size_scratch, ttl_scratch;
+  std::vector<double> exec;
+  SimulatorScratch sim_scratch;
+  SimulatedSchedule sim;
+  for (const PhoebePipeline* pipeline : {pipeline_, split_pipeline_}) {
+    const PipelineBundle& bundle = *pipeline->bundle();
+    for (CostSource source : {CostSource::kMlSimulator, CostSource::kMlStacked}) {
+      for (const workload::JobInstance& job : jobs) {
+        SCOPED_TRACE(std::string(CostSourceToken(source)) + " job " +
+                     std::to_string(job.job_id));
+        const Result<StageCosts> got = pipeline->engine().BuildCosts(job, source, stats);
+        StageCosts want;
+        bundle.exec_predictor().PredictJobInto(job, stats, &exec_scratch, &exec);
+        bundle.size_predictor().PredictJobInto(job, stats, &size_scratch,
+                                               &want.output_bytes);
+        const Status st = SimulateScheduleInto(job.graph, exec, &sim_scratch, &sim);
+        ASSERT_EQ(st.ToString(), got.status().ToString());
+        if (!st.ok()) continue;
+        for (size_t u = 0; u < job.graph.num_stages(); ++u) {
+          want.num_tasks.push_back(job.truth[u].num_tasks);
+        }
+        want.end_time.assign(sim.end.begin(), sim.end.end());
+        want.tfs.assign(sim.start.begin(), sim.start.end());
+        want.job_end = sim.job_end;
+        if (source == CostSource::kMlStacked) {
+          bundle.ttl_estimator().PredictInto(job, sim, &ttl_scratch, &want.ttl);
+        } else {
+          for (size_t u = 0; u < job.graph.num_stages(); ++u) {
+            want.ttl.push_back(sim.Ttl(static_cast<dag::StageId>(u)));
+          }
+        }
+        EXPECT_EQ(want.output_bytes, got->output_bytes);
+        EXPECT_EQ(want.ttl, got->ttl);
+        EXPECT_EQ(want.end_time, got->end_time);
+        EXPECT_EQ(want.tfs, got->tfs);
+        EXPECT_EQ(want.num_tasks, got->num_tasks);
+        EXPECT_EQ(want.job_end, got->job_end);
+      }
+    }
+  }
 }
 
 TEST_F(DayBatchDecideTest, BothPerTypeAndGeneralModelsServeTheDay) {
@@ -196,7 +277,7 @@ TEST_F(DayBatchDecideTest, BothPerTypeAndGeneralModelsServeTheDay) {
   std::vector<const workload::JobInstance*> batch;
   for (const workload::JobInstance& job : jobs) batch.push_back(&job);
   std::vector<JobDecision> slots(jobs.size());
-  DayDecideScratch day;
+  DecideScratch day;
   pipeline_->engine().DecideJobsInto(batch, stats, DecideOptions{}, &day, slots);
   const size_t type_models = bundle.exec_predictor().num_type_models();
   ASSERT_GT(type_models, 0u);
@@ -229,7 +310,7 @@ TEST_F(DayBatchDecideTest, TelemetryCountsModelCallsAndTheirRows) {
   // Day path: the same rows in far fewer, far larger calls.
   obs::MetricsRegistry day_reg;
   DecisionEngine day_engine(pipeline_->bundle(), &day_reg);
-  DayDecideScratch day;
+  DecideScratch day;
   std::vector<JobDecision> slots(jobs.size());
   day_engine.DecideJobsInto(batch, stats, options, &day, slots);
 

@@ -1,8 +1,8 @@
 // Allocation-count gate for the zero-alloc decide path: with a warm
 // per-worker DecideScratch arena and a reused FleetDecision, steady-state
-// DecideJobInto/DecideInto — and the day-batched DecideJobsInto on a warm
-// DayDecideScratch — must perform ZERO heap allocations, for every cost
-// source and both objectives. The gate counts through replacement
+// DecideJobInto/DecideInto — and the batched DecideJobsInto on the same
+// arena type — must perform ZERO heap allocations, for every cost source and
+// both objectives. The gate counts through replacement
 // global operator new/delete, so any hidden vector growth, string build, or
 // temporary map on the hot path fails loudly here instead of showing up as
 // allocator contention in the fleet driver.
@@ -189,15 +189,17 @@ TEST_F(DecideAllocGateTest, DecideIntoIsAllocFreeWhenWarm) {
 }
 
 TEST_F(DecideAllocGateTest, DayPathIsAllocFreeWhenWarm) {
-  // The day-batched path on a warm DayDecideScratch with reused slots: its
+  // The batched path on a warm DecideScratch with reused slots: its
   // featurize / bucket / PredictRowsInto phases, the per-job simulations and
-  // the optimizer tail allocate nothing.
+  // the optimizer tail allocate nothing — nor does a one-job DecideJobInto
+  // on the same arena between day calls.
   const DecisionEngine& engine = pipeline_->engine();
   auto stats = repo_->StatsBefore(2);
   auto jobs = EligibleJobs(32);
   ASSERT_GT(jobs.size(), 1u);
-  DayDecideScratch scratch;
+  DecideScratch scratch;
   std::vector<JobDecision> slots(jobs.size());
+  FleetDecision single;
   for (CostSource source : kAllSources) {
     for (Objective objective : {Objective::kTempStorage, Objective::kRecovery}) {
       DecideOptions options;
@@ -206,6 +208,8 @@ TEST_F(DecideAllocGateTest, DayPathIsAllocFreeWhenWarm) {
       const long long allocs = SteadyStateAllocs(10, [&] {
         engine.DecideJobsInto(jobs, stats, options, &scratch, slots);
         for (const JobDecision& slot : slots) ASSERT_TRUE(slot.status.ok());
+        ASSERT_TRUE(
+            engine.DecideJobInto(*jobs.back(), stats, options, &scratch, &single).ok());
       });
 #if PHOEBE_ALLOC_GATE_ACTIVE
       EXPECT_EQ(allocs, 0) << "source=" << CostSourceToken(source)

@@ -1,10 +1,10 @@
 // Batched-inference property suite, pinning the two contracts the inference
 // engine rests on:
-//   1. Regressor::PredictBatch is *bit-equal* to the row-wise scalar Predict
-//      for every learner (flattened-forest GBDT, blocked MLP, ridge via the
-//      base-class row loop), across randomized fitted models and matrices —
-//      including the 0-row and 1-row edges. This is what lets batching
-//      default on without changing a single test output.
+//   1. Regressor::PredictBatch (PredictRowsInto over every row) is
+//      *bit-equal* to the row-wise scalar Predict for every learner
+//      (flattened-forest GBDT, blocked MLP, ridge), across randomized fitted
+//      models and matrices — including the 0-row and 1-row edges. This is
+//      what lets the one batched inference path stand in for Predict.
 //   2. The fleet template cache at zero drift tolerance (quantize_bps = 0)
 //      is byte-neutral: a cached RunDay produces the exact FleetDayReport of
 //      an uncached one, for any thread count, because an exact-mode key
@@ -139,7 +139,7 @@ TEST(PropBatchInferenceTest, MlpBatchMatchesScalarAcrossRandomModels) {
 }
 
 TEST(PropBatchInferenceTest, RidgeBatchMatchesScalar) {
-  // Ridge uses the Regressor base-class row loop — trivially equal, but the
+  // Ridge's PredictRowsInto is a plain row loop — trivially equal, but the
   // test pins that the virtual dispatch path stays wired for every learner.
   ml::RidgeRegressor model;
   ASSERT_TRUE(model.Fit(RandomDataset(120, 3, 7)).ok());
@@ -281,15 +281,6 @@ TEST_F(BatchCacheFleetFixture, CachedDayIsThreadCountInvariant) {
     EXPECT_EQ(reports[0].cache_misses, reports[i].cache_misses);
     EXPECT_EQ(reports[0].cache_evictions, reports[i].cache_evictions);
   }
-}
-
-TEST_F(BatchCacheFleetFixture, ScalarInferenceMatchesBatchedByteForByte) {
-  core::FleetConfig cfg;
-  core::FleetDayReport batched = Run(cfg);
-  pipeline_->set_batch_inference(false);
-  core::FleetDayReport scalar = Run(cfg);
-  pipeline_->set_batch_inference(true);
-  ExpectIdentical(batched, scalar);
 }
 
 TEST_F(BatchCacheFleetFixture, TinyCapacityEvictsDeterministically) {

@@ -35,7 +35,7 @@ PLANS = {
                 ],
             }
         ],
-        "gates": ["batch_reports_identical", "exact_mode_reports_identical"],
+        "gates": ["exact_mode_reports_identical"],
     },
     "ab_harness": {
         "series": [

@@ -116,14 +116,12 @@ expect_exit 0 "fleet multi-cut budgeted" -- \
   "$CLI" fleet "${SMALL[@]}" --train-days 2 --num-cuts 2 --budget-gb 50 --threads 2
 expect_stdout_contains "fleet multi-cut budgeted" "knapsack threshold"
 
-# fleet inference knobs: --no-batch (scalar scoring) must reproduce the
-# batched report exactly, and an exact-mode template cache (--cache-bps 0)
-# must be byte-neutral while reporting its hit/miss traffic.
-expect_exit 0 "fleet no-batch" -- \
+# There is one inference path: the old scalar-scoring flag is gone and must
+# be rejected like any unknown flag. An exact-mode template cache
+# (--cache-bps 0) must be byte-neutral while reporting its hit/miss traffic.
+expect_exit 2 "fleet no-batch" -- \
   "$CLI" fleet "${SMALL[@]}" --train-days 2 --no-batch
-if ! diff -q "$WORKDIR/fleet_serial.out" "$WORKDIR/stdout" >/dev/null; then
-  fail "fleet: --no-batch report differs from batched report"
-fi
+expect_stderr_contains "fleet no-batch" "unknown flag '--no-batch'"
 expect_exit 0 "fleet template-cache" -- \
   "$CLI" fleet "${SMALL[@]}" --train-days 2 --template-cache 1024 --cache-bps 0
 expect_stdout_contains "fleet template-cache" "cache hits/misses"

@@ -312,8 +312,7 @@ int CmdBundleInfo(int argc, char** argv) {
               static_cast<int>(cfg.size_predictor.kind),
               cfg.size_predictor.gbdt.num_trees);
   std::printf("ttl stacker: %d trees\n", cfg.ttl.gbdt.num_trees);
-  std::printf("delta %g  batch inference %s\n", cfg.delta,
-              cfg.exec_predictor.batch_inference ? "on" : "off");
+  std::printf("delta %g\n", cfg.delta);
   std::printf("historic stats: %lld stage observations\n",
               static_cast<long long>(b.stats().total_observations()));
   return 0;
@@ -523,8 +522,6 @@ int CmdFleet(int argc, char** argv) {
   p.AddInt("num-cuts", 1, "checkpoint cuts per job");
   p.AddDouble("budget-gb", 0.0, "global storage budget in GB (0 = unlimited)");
   p.AddString("objective", "temp", "optimization objective: temp|recovery");
-  p.AddBool("batch", "force batched ML scoring (already the default)");
-  p.AddBool("no-batch", "scalar per-stage ML scoring (bit-identical, slower)");
   p.AddInt("template-cache", 0, "recurring-template decision cache capacity "
            "(0 = disabled)");
   p.AddInt("cache-bps", 0, "cache input-size drift tolerance in basis points "
@@ -577,10 +574,6 @@ int CmdFleet(int argc, char** argv) {
   cfg.metrics = registry.get();
   double budget_gb = p.GetDouble("budget-gb");
   if (budget_gb > 0.0) cfg.storage_budget_bytes = budget_gb * 1e9;
-
-  // Batched ML scoring is the default; --no-batch reverts to the scalar
-  // per-stage path (bit-identical results, slower).
-  t.phoebe.set_batch_inference(!p.GetBool("no-batch"));
 
   // --template-cache N enables the recurring-template decision cache with
   // capacity N; --cache-bps sets the input-size drift tolerance (0 = exact).
