@@ -1,5 +1,5 @@
 // Differential A/B harness bench: N arms over one shared DayContext vs the
-// same arms run standalone, one FleetDriver each. Times both and gates the
+// same arms run standalone, one DecisionArm each. Times both and gates the
 // contract that makes the harness trustworthy — every arm's per-day report
 // must be byte-identical to the report that arm produces standalone, and the
 // paired comparison report must be byte-identical across thread counts.
@@ -13,14 +13,14 @@
 // nightly if either regresses.
 //
 // Usage: bench_ab_harness [--days N] [--num-cuts K] [--budget-gb G]
+// Unknown or malformed flags exit 2; --help prints the flag list.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/argparse.h"
 #include "common/json.h"
 #include "common/threadpool.h"
 #include "core/engine.h"
@@ -31,22 +31,29 @@
 namespace phoebe::bench {
 namespace {
 
-int ArgInt(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
 double Seconds(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
 int Run(int argc, char** argv) {
-  const int num_days = ArgInt(argc, argv, "--days", 3);
-  const int num_cuts = ArgInt(argc, argv, "--num-cuts", 1);
-  const int budget_gb = ArgInt(argc, argv, "--budget-gb", 0);
+  ArgParser args("bench_ab_harness",
+                 "Two-arm A/B harness vs the same arms run standalone.");
+  args.AddInt("days", 3, "fleet days in the run");
+  args.AddInt("num-cuts", 1, "checkpoint cuts per job of the baseline arm "
+              "(the variant arm uses twice as many)");
+  args.AddInt("budget-gb", 0, "global storage budget in GB (0 = unlimited)");
+  if (Status st = args.Parse(argc, argv, 1); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
+  if (args.help_requested()) {
+    std::fputs(args.Help().c_str(), stdout);
+    return 0;
+  }
+  const int num_days = args.GetInt("days");
+  const int num_cuts = args.GetInt("num-cuts");
+  const int budget_gb = args.GetInt("budget-gb");
 
   std::fprintf(stderr, "training pipeline...\n");
   BenchEnv env = MakeEnv(/*num_templates=*/60, /*train_days=*/5, /*test_days=*/1);
@@ -81,23 +88,21 @@ int Run(int argc, char** argv) {
         {"base", &env.phoebe->engine(), b, checksum},
         {"morecuts", &env.phoebe->engine(), v, checksum}};
   };
+  const telemetry::HistoricStats calibration_stats =
+      env.repo.StatsBefore(env.train_days - 1);
   const core::DayContext calibration_day(-1, env.repo.Day(env.train_days - 1),
-                                         env.repo.StatsBefore(env.train_days - 1));
+                                         calibration_stats);
 
-  // --- Standalone baseline: one FleetDriver per arm, full pass each -------
+  // --- Standalone baseline: one DecisionArm per arm, full pass each -------
   auto t_sa0 = std::chrono::steady_clock::now();
   std::vector<std::string> standalone_json(2);
   {
     const auto specs = make_specs(1);
     for (size_t k = 0; k < specs.size(); ++k) {
-      core::FleetDriver driver(specs[k].engine, specs[k].config);
-      if (budget_gb > 0) {
-        driver.Calibrate(env.repo.Day(env.train_days - 1),
-                         env.repo.StatsBefore(env.train_days - 1))
-            .Check();
-      }
+      core::DecisionArm arm(specs[k].engine, specs[k].config);
+      if (budget_gb > 0) arm.Calibrate(calibration_day).Check();
       for (int d = 0; d < num_days; ++d) {
-        auto report = driver.RunDay(days[static_cast<size_t>(d)], stats);
+        auto report = arm.RunDay(core::DayContext(d, days[static_cast<size_t>(d)], stats));
         report.status().Check();
         standalone_json[k] += core::FleetDayReportJson(*report, d) + "\n";
       }
@@ -116,17 +121,19 @@ int Run(int argc, char** argv) {
   };
   std::vector<Series> series;
   std::string paired_baseline;
-  bool arm_reports_identical = true;
+  bool arms_match_standalone = true;
 
   for (int threads : {1, 2, 4}) {
     core::FleetAbDriver ab(make_specs(threads));
-    if (budget_gb > 0) ab.Calibrate(calibration_day).Check();
+    if (budget_gb > 0) {
+      ab.Calibrate(std::vector<core::DayContext>(ab.num_arms(), calibration_day)).Check();
+    }
     auto t0 = std::chrono::steady_clock::now();
     std::vector<core::AbDayComparison> comparisons;
     std::vector<std::string> arm_json(2);
     for (int d = 0; d < num_days; ++d) {
-      core::DayContext ctx(d, days[static_cast<size_t>(d)], stats);
-      auto result = ab.RunDay(ctx);
+      const core::DayContext ctx(d, days[static_cast<size_t>(d)], stats);
+      auto result = ab.RunDay(std::vector<core::DayContext>(ab.num_arms(), ctx));
       result.status().Check();
       comparisons.push_back(result->comparison);
       for (size_t k = 0; k < arm_json.size(); ++k) {
@@ -140,8 +147,8 @@ int Run(int argc, char** argv) {
     if (threads == 1) {
       paired_baseline = paired;
       for (size_t k = 0; k < arm_json.size(); ++k) {
-        arm_reports_identical =
-            arm_reports_identical && arm_json[k] == standalone_json[k];
+        arms_match_standalone =
+            arms_match_standalone && arm_json[k] == standalone_json[k];
       }
     } else {
       paired_identical = paired == paired_baseline;
@@ -151,7 +158,7 @@ int Run(int argc, char** argv) {
                  paired_identical ? "" : "  PAIRED REPORT MISMATCH");
   }
   std::fprintf(stderr, "arm reports identical to standalone: %s\n",
-               arm_reports_identical ? "yes" : "NO");
+               arms_match_standalone ? "yes" : "NO");
 
   JsonWriter json;
   json.BeginObject();
@@ -162,7 +169,7 @@ int Run(int argc, char** argv) {
   json.KV("num_cuts", num_cuts);
   json.KV("budget_gb", budget_gb);
   json.KV("hardware_concurrency", ThreadPool::Resolve(0));
-  json.KV("arm_reports_identical_to_standalone", arm_reports_identical);
+  json.KV("arm_reports_identical_to_standalone", arms_match_standalone);
   json.Key("series").BeginArray();
   {
     json.BeginObject();
@@ -182,7 +189,7 @@ int Run(int argc, char** argv) {
   json.EndObject();
   std::printf("%s\n", json.str().c_str());
 
-  if (!arm_reports_identical) return 1;  // determinism violation = failure
+  if (!arms_match_standalone) return 1;  // determinism violation = failure
   for (const Series& s : series) {
     if (!s.paired_identical) return 1;
   }

@@ -23,8 +23,8 @@ int main() {
   std::vector<workload::JobInstance> jobs = env.TestDay(0);
   for (auto& job : jobs) job.submit_time *= 6.0 * 3600.0 / 86400.0;  // busy pod
 
-  core::FleetDriver fleet(&env.phoebe->engine(), core::FleetConfig{});
-  auto report = fleet.RunDay(jobs, env.StatsForTestDay(0));
+  core::DecisionArm fleet(&env.phoebe->engine(), core::FleetConfig{});
+  auto report = fleet.RunDay(core::DayContext(0, jobs, env.StatsForTestDay(0)));
   report.status().Check();
   auto cuts = report->AdmittedCuts();
 

@@ -1,5 +1,5 @@
 // Decision-throughput bench for the fleet hot path: one large recurring day
-// (10k jobs by default) through FleetDriver::RunDay on a single thread, with
+// (10k jobs by default) through DecisionArm::RunDay on a single thread, with
 // the template cache off and on. Reports decisions/sec, stage-scorings/sec,
 // and the cache hit rate as JSON on stdout (human-readable progress on
 // stderr).
@@ -125,6 +125,7 @@ int Run(int argc, char** argv) {
     jobs.resize(static_cast<size_t>(target_jobs));
   }
   auto stats = env.StatsForTestDay(0);
+  const core::DayContext ctx(0, jobs, stats);
 
   int64_t eligible = 0, eligible_stages = 0;
   for (const workload::JobInstance& job : jobs) {
@@ -144,9 +145,9 @@ int Run(int argc, char** argv) {
     cfg.template_cache.enabled = cache;
     cfg.template_cache.capacity = static_cast<size_t>(cache_capacity);
     cfg.template_cache.quantize_bps = bps;
-    core::FleetDriver driver(&env.phoebe->engine(), cfg);
+    core::DecisionArm arm(&env.phoebe->engine(), cfg);
     auto t0 = std::chrono::steady_clock::now();
-    auto r = driver.RunDay(jobs, stats);
+    auto r = arm.RunDay(ctx);
     auto t1 = std::chrono::steady_clock::now();
     r.status().Check();
     const int64_t lookups = r->cache_hits + r->cache_misses;
@@ -191,9 +192,9 @@ int Run(int argc, char** argv) {
                          obs::MetricsRegistry* reg,
                          core::FleetDayReport* report) -> double {
       mcfg.metrics = reg;
-      core::FleetDriver driver(engine, mcfg);
+      core::DecisionArm arm(engine, mcfg);
       auto t0 = std::chrono::steady_clock::now();
-      auto r = driver.RunDay(jobs, stats);
+      auto r = arm.RunDay(ctx);
       auto t1 = std::chrono::steady_clock::now();
       r.status().Check();
       *report = *std::move(r);

@@ -1,5 +1,5 @@
 // Fleet-driver scaling bench: one large day (10k jobs by default) through
-// FleetDriver::RunDay at 1/2/4/8 threads, reporting wall time, speedup, and
+// DecisionArm::RunDay at 1/2/4/8 threads, reporting wall time, speedup, and
 // — the contract that makes the parallel driver deployable — that every
 // thread count produced a byte-identical FleetDayReport. Emits a JSON
 // document on stdout for dashboards; human-readable progress goes to stderr.
@@ -22,21 +22,21 @@
 //
 // Usage: bench_fleet_scale [--jobs N] [--num-cuts K] [--budget-gb G]
 //                          [--metrics-out FILE]
+// Unknown or malformed flags exit 2; --help prints the flag list.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/argparse.h"
 #include "common/json.h"
 #include "common/threadpool.h"
 #include "core/engine.h"
@@ -46,20 +46,6 @@
 
 namespace phoebe::bench {
 namespace {
-
-int ArgInt(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-const char* ArgStr(int argc, char** argv, const char* flag, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 double Seconds(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b) {
@@ -85,10 +71,24 @@ bool ReportsIdentical(const core::FleetDayReport& a, const core::FleetDayReport&
 }
 
 int Run(int argc, char** argv) {
-  const int target_jobs = ArgInt(argc, argv, "--jobs", 10000);
-  const int num_cuts = ArgInt(argc, argv, "--num-cuts", 1);
-  const int budget_gb = ArgInt(argc, argv, "--budget-gb", 0);
-  const std::string metrics_out = ArgStr(argc, argv, "--metrics-out", "");
+  ArgParser args("bench_fleet_scale",
+                 "Fleet-day wall time across decision threads and shard processes.");
+  args.AddInt("jobs", 10000, "jobs in the benchmarked day");
+  args.AddInt("num-cuts", 1, "checkpoint cuts per job");
+  args.AddInt("budget-gb", 0, "global storage budget in GB (0 = unlimited)");
+  args.AddString("metrics-out", "", "write an instrumented run's telemetry JSONL here");
+  if (Status st = args.Parse(argc, argv, 1); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
+  if (args.help_requested()) {
+    std::fputs(args.Help().c_str(), stdout);
+    return 0;
+  }
+  const int target_jobs = args.GetInt("jobs");
+  const int num_cuts = args.GetInt("num-cuts");
+  const int budget_gb = args.GetInt("budget-gb");
+  const std::string metrics_out = args.GetString("metrics-out");
 
   std::fprintf(stderr, "training pipeline...\n");
   BenchEnv env = MakeEnv(/*num_templates=*/60, /*train_days=*/3, /*test_days=*/1);
@@ -107,6 +107,11 @@ int Run(int argc, char** argv) {
   }
   auto stats = env.StatsForTestDay(0);
   std::fprintf(stderr, "day assembled: %zu jobs\n", jobs.size());
+  const core::DayContext day(0, jobs, stats);
+  const telemetry::HistoricStats calibration_stats =
+      env.repo.StatsBefore(env.train_days - 1);
+  const core::DayContext calibration_day(-1, env.repo.Day(env.train_days - 1),
+                                         calibration_stats);
 
   core::FleetConfig cfg;
   cfg.num_cuts = num_cuts;
@@ -122,14 +127,10 @@ int Run(int argc, char** argv) {
 
   for (int threads : {1, 2, 4, 8}) {
     cfg.num_threads = threads;
-    core::FleetDriver driver(&env.phoebe->engine(), cfg);
-    if (budget_gb > 0) {
-      driver.Calibrate(env.repo.Day(env.train_days - 1),
-                       env.repo.StatsBefore(env.train_days - 1))
-          .Check();
-    }
+    core::DecisionArm arm(&env.phoebe->engine(), cfg);
+    if (budget_gb > 0) arm.Calibrate(calibration_day).Check();
     auto t0 = std::chrono::steady_clock::now();
-    auto report = driver.RunDay(jobs, stats);
+    auto report = arm.RunDay(day);
     auto t1 = std::chrono::steady_clock::now();
     report.status().Check();
     bool identical = true;
@@ -148,24 +149,23 @@ int Run(int argc, char** argv) {
   // on), then fork N real processes over the same frozen engine. Each child
   // decides its owned sub-days and writes a shard blob; the parent merges
   // and replays, gating byte-identity of the per-day JSON reports against an
-  // unsharded sequential run on one driver.
+  // unsharded sequential run on one arm.
   const int kSubDays = 8;
   std::vector<std::vector<workload::JobInstance>> sub_days(kSubDays);
   for (size_t i = 0; i < jobs.size(); ++i) {
     sub_days[i % static_cast<size_t>(kSubDays)].push_back(jobs[i]);
   }
+  auto sub_day = [&](int d) {
+    return core::DayContext(d, sub_days[static_cast<size_t>(d)], stats);
+  };
 
   cfg.num_threads = 1;  // isolate process-level parallelism
   auto run_sequential = [&]() {
-    core::FleetDriver driver(&env.phoebe->engine(), cfg);
-    if (budget_gb > 0) {
-      driver.Calibrate(env.repo.Day(env.train_days - 1),
-                       env.repo.StatsBefore(env.train_days - 1))
-          .Check();
-    }
+    core::DecisionArm arm(&env.phoebe->engine(), cfg);
+    if (budget_gb > 0) arm.Calibrate(calibration_day).Check();
     std::string out;
     for (int d = 0; d < kSubDays; ++d) {
-      auto report = driver.RunDay(sub_days[static_cast<size_t>(d)], stats);
+      auto report = arm.RunDay(sub_day(d));
       report.status().Check();
       out += core::FleetDayReportJson(*report, d) + "\n";
     }
@@ -203,27 +203,26 @@ int Run(int argc, char** argv) {
         // Child: decide owned sub-days against the (copy-on-write shared)
         // engine and write one shard blob. _exit skips parent-owned atexit
         // state; nonzero status reports any failure to the parent.
-        core::FleetDriver child(&env.phoebe->engine(), cfg);
-        std::map<int, core::FleetDayDecisions> owned;
-        std::map<int, core::FleetDayReport> reports;
+        core::DecisionArm child(&env.phoebe->engine(), cfg);
+        core::FleetShardBlob owned;
+        owned.header = core::FleetShardHeader{s, procs, kSubDays, {bundle_checksum}};
         // Unbudgeted runs have no cross-day state, so each child replays its
         // own sub-days and embeds the reports — the parent's merge is then
-        // pure report concatenation (the v2 shard fast path).
+        // pure report concatenation (the shard-side replay fast path).
         const bool shard_side_replay = budget_gb <= 0;
         for (int d = 0; d < kSubDays; ++d) {
           if (!core::ShardOwnsDay(d, s, procs)) continue;
-          auto day = child.DecideDay(sub_days[static_cast<size_t>(d)], stats);
-          if (!day.ok()) ::_exit(1);
+          auto decisions = child.DecideDay(sub_day(d));
+          if (!decisions.ok()) ::_exit(1);
+          core::ShardArmDay arm_day{*std::move(decisions), std::nullopt};
           if (shard_side_replay) {
-            auto rep = child.ReplayDay(sub_days[static_cast<size_t>(d)], stats, *day);
+            auto rep = child.ReplayDay(sub_day(d), arm_day.decisions);
             if (!rep.ok()) ::_exit(1);
-            reports.emplace(d, *std::move(rep));
+            arm_day.report = *std::move(rep);
           }
-          owned.emplace(d, *std::move(day));
+          owned.days[d].push_back(std::move(arm_day));
         }
-        auto blob = core::SerializeFleetShard(
-            core::FleetShardHeader{s, procs, kSubDays, bundle_checksum}, owned,
-            shard_side_replay ? &reports : nullptr);
+        auto blob = core::SerializeFleetShard(owned);
         if (!blob.ok()) ::_exit(1);
         std::ofstream out(blob_paths[static_cast<size_t>(s)], std::ios::binary);
         out << *blob;
@@ -253,25 +252,21 @@ int Run(int argc, char** argv) {
       blobs.push_back(*std::move(blob));
       std::filesystem::remove(p);
     }
-    auto merged = core::CombineFleetShards(blobs, bundle_checksum);
+    auto merged = core::CombineFleetShards(blobs, {bundle_checksum});
     merged.status().Check();
     std::string merged_json;
-    if (budget_gb <= 0 &&
-        static_cast<int>(merged->reports.size()) == kSubDays) {
+    if (budget_gb <= 0) {
       // Shard-side replay embedded every report: merge is concatenation.
       for (int d = 0; d < kSubDays; ++d) {
-        merged_json += core::FleetDayReportJson(merged->reports.at(d), d) + "\n";
+        const std::optional<core::FleetDayReport>& report = merged->at(d)[0].report;
+        PHOEBE_CHECK(report.has_value());
+        merged_json += core::FleetDayReportJson(*report, d) + "\n";
       }
     } else {
-      core::FleetDriver merge_driver(&env.phoebe->engine(), cfg);
-      if (budget_gb > 0) {
-        merge_driver.Calibrate(env.repo.Day(env.train_days - 1),
-                               env.repo.StatsBefore(env.train_days - 1))
-            .Check();
-      }
+      core::DecisionArm merge_arm(&env.phoebe->engine(), cfg);
+      merge_arm.Calibrate(calibration_day).Check();
       for (int d = 0; d < kSubDays; ++d) {
-        auto report = merge_driver.ReplayDay(sub_days[static_cast<size_t>(d)],
-                                             stats, merged->days.at(d));
+        auto report = merge_arm.ReplayDay(sub_day(d), merged->at(d)[0].decisions);
         report.status().Check();
         merged_json += core::FleetDayReportJson(*report, d) + "\n";
       }
@@ -293,13 +288,9 @@ int Run(int argc, char** argv) {
     core::FleetConfig mcfg = cfg;
     mcfg.num_threads = 4;
     mcfg.metrics = &registry;
-    core::FleetDriver driver(&metrics_engine, mcfg);
-    if (budget_gb > 0) {
-      driver.Calibrate(env.repo.Day(env.train_days - 1),
-                       env.repo.StatsBefore(env.train_days - 1))
-          .Check();
-    }
-    driver.RunDay(jobs, stats).status().Check();
+    core::DecisionArm arm(&metrics_engine, mcfg);
+    if (budget_gb > 0) arm.Calibrate(calibration_day).Check();
+    arm.RunDay(day).status().Check();
     std::ofstream tele(metrics_out, std::ios::binary);
     if (!tele) {
       std::fprintf(stderr, "cannot open '%s'\n", metrics_out.c_str());

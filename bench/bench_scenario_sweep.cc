@@ -150,8 +150,9 @@ LoopArtifacts RunLoop(const scenario::ScenarioSpec& spec, int days,
     fleet_cfg.template_cache.enabled = true;
     fleet_cfg.template_cache.capacity = 256;
     fleet_cfg.template_cache.quantize_bps = 5000;
-    core::FleetDriver fleet(&engine, fleet_cfg);
-    auto report = fleet.RunDay(repo.Day(days - 1), repo.StatsBefore(days - 1));
+    core::DecisionArm fleet(&engine, fleet_cfg);
+    const telemetry::HistoricStats stats = repo.StatsBefore(days - 1);
+    auto report = fleet.RunDay(core::DayContext(days - 1, repo.Day(days - 1), stats));
     report.status().Check();
     const int64_t lookups = report->cache_hits + report->cache_misses;
     out.cache_hit_rate =

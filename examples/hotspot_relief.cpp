@@ -41,15 +41,17 @@ int main() {
   // --- The fleet driver handles the whole day: per-job cuts, then admission
   // under the global-storage budget (threshold calibrated on day 4).
   // First measure the unconstrained demand to size the budget.
-  core::FleetDriver unbudgeted(&phoebe.engine(), core::FleetConfig{});
-  auto open_report = unbudgeted.RunDay(jobs, stats);
+  const core::DayContext day(5, jobs, stats);
+  core::DecisionArm unbudgeted(&phoebe.engine(), core::FleetConfig{});
+  auto open_report = unbudgeted.RunDay(day);
   open_report.status().Check();
 
   core::FleetConfig fleet_cfg;
   fleet_cfg.storage_budget_bytes = 0.8 * open_report->storage_used_bytes;
-  core::FleetDriver fleet(&phoebe.engine(), fleet_cfg);
-  fleet.Calibrate(repo.Day(4), repo.StatsBefore(4)).Check();
-  auto report = fleet.RunDay(jobs, stats);
+  core::DecisionArm fleet(&phoebe.engine(), fleet_cfg);
+  const telemetry::HistoricStats history_stats = repo.StatsBefore(4);
+  fleet.Calibrate(core::DayContext(4, repo.Day(4), history_stats)).Check();
+  auto report = fleet.RunDay(day);
   report.status().Check();
   std::printf("global-storage budget: %s (threshold pi* = %.3g s)\n",
               HumanBytes(fleet_cfg.storage_budget_bytes).c_str(),

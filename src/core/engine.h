@@ -6,7 +6,7 @@
 // exposes exclusively const methods, so the const-after-Train invariant the
 // fleet driver's parallel phase relies on is enforced by the compiler — a
 // caller holding `const DecisionEngine&` cannot reach any mutable pipeline
-// state. Engines are cheap values (one shared_ptr); every FleetDriver,
+// state. Engines are cheap values (one shared_ptr); every DecisionArm,
 // back-tester, and CLI decide path is built on one, and any number of them
 // (across threads or processes) can serve from the same bundle.
 #pragma once

@@ -17,9 +17,9 @@
 //     metrics. An arm is the unit the differential A/B harness replicates
 //     (core/fleet_ab.h): N arms over one context decide the same jobs under
 //     N models or configs in a single pass.
-//   * FleetDriver — the single-arm convenience wrapper (the N=1 case). Its
-//     API and reports are byte-identical to the pre-split driver; the whole
-//     legacy surface forwards to one owned DecisionArm.
+//
+// DecisionArm + DayContext is the one day-loop API: a single-bundle caller
+// holds one arm and builds one context per day; the A/B harness holds N.
 //
 // The arm serves from a const DecisionEngine (see core/engine.h): the
 // decide path has no access to mutable pipeline state, which is what makes
@@ -210,8 +210,6 @@ class DecisionArm {
   const DecisionEngine& engine() const { return *engine_; }
 
  private:
-  friend struct FleetDriverPeer;  // test-only access to resolved metrics
-
   /// Metric pointers resolved once at construction (null = metrics off).
   /// Phase names match DESIGN.md "Observability"; under a namespaced
   /// registry every name below carries the arm's prefix.
@@ -243,51 +241,6 @@ class DecisionArm {
   std::vector<KnapsackItem> calibration_;
   bool calibrated_ = false;
   TemplateDecisionCache<FleetDecision> template_cache_;
-};
-
-/// \brief Runs the per-day decision loop for one arm — the N=1 wrapper kept
-/// for every existing single-bundle call site. Pure forwarding over one
-/// owned DecisionArm, so reports are byte-identical to the pre-split driver
-/// (core_fleet_ab_test pins arm-0-vs-standalone identity).
-class FleetDriver {
- public:
-  /// \param engine const serving engine (borrowed; must outlive the driver).
-  FleetDriver(const DecisionEngine* engine, FleetConfig config)
-      : arm_(engine, config) {}
-
-  /// Calibrate the admission threshold from a historical day's decisions.
-  /// Must be called before RunDay when the budget is finite.
-  Status Calibrate(const std::vector<workload::JobInstance>& history_jobs,
-                   const telemetry::HistoricStats& history_stats) {
-    return arm_.Calibrate(DayContext(-1, history_jobs, history_stats));
-  }
-
-  /// Decide + admit every job of the day. See DecisionArm::RunDay.
-  Result<FleetDayReport> RunDay(const std::vector<workload::JobInstance>& jobs,
-                                const telemetry::HistoricStats& stats) {
-    return arm_.RunDay(DayContext(-1, jobs, stats));
-  }
-
-  /// Decide phase only. See DecisionArm::DecideDay.
-  Result<FleetDayDecisions> DecideDay(const std::vector<workload::JobInstance>& jobs,
-                                      const telemetry::HistoricStats& stats) const {
-    return arm_.DecideDay(DayContext(-1, jobs, stats));
-  }
-
-  /// RunDay over precomputed decisions. See DecisionArm::ReplayDay.
-  Result<FleetDayReport> ReplayDay(const std::vector<workload::JobInstance>& jobs,
-                                   const telemetry::HistoricStats& stats,
-                                   const FleetDayDecisions& precomputed) {
-    return arm_.ReplayDay(DayContext(-1, jobs, stats), precomputed);
-  }
-
-  /// The underlying arm (e.g. to run it against an externally built
-  /// DayContext alongside other arms).
-  DecisionArm& arm() { return arm_; }
-  const DecisionArm& arm() const { return arm_; }
-
- private:
-  DecisionArm arm_;
 };
 
 }  // namespace phoebe::core

@@ -1,6 +1,8 @@
-// Differential fleet A/B harness: N decision arms over one DayContext —
-// or, in the per-arm-context form, one DayContext per arm so scenario arms
-// can decide a differently-generated workload for the same day index.
+// Differential fleet A/B harness: N decision arms, each deciding one
+// DayContext per day. Every entry point takes one context per arm: arms that
+// share a workload are passed the same context (so they decide the very same
+// jobs vector), and scenario arms get their own, so they can decide a
+// differently-generated workload for the same day index.
 //
 // "Is the new model/config better?" is only answerable when the
 // alternatives are costed against *identical* inputs. The arm/context split
@@ -50,9 +52,9 @@ struct FleetArmSpec {
   std::string name;
   const DecisionEngine* engine = nullptr;
   FleetConfig config;
-  /// Checksum of the arm's bundle (0 for config-only arms over a shared
-  /// bundle) — stamped into the paired report and the per-arm shard
-  /// sections.
+  /// Checksum of the arm's bundle — stamped into the paired report and, in
+  /// arm order, into the shard-blob header, so a merge refuses blobs decided
+  /// under any other arm's bundle.
   uint32_t bundle_checksum = 0;
 };
 
@@ -110,21 +112,15 @@ struct AbDayComparison {
 };
 
 /// Build the paired comparison for one day from every arm's decide-phase
-/// output and replayed report. `specs`, `decisions`, and `reports` are
-/// parallel (one entry per arm, >= 1); every day must hold `ctx.jobs->size()`
-/// slots. Pure function — this is the consumer the shadow path reuses.
-Result<AbDayComparison> BuildAbDayComparison(
-    const DayContext& ctx, const std::vector<FleetArmSpec>& specs,
-    const std::vector<FleetDayDecisions>& decisions,
-    const std::vector<FleetDayReport>& reports);
-
-/// Per-arm-context form: `ctxs` holds one DayContext per arm (all sharing one
-/// day index). Scenario arms decide a differently-generated workload, so a
-/// job-slot byte diff against arm 0 is meaningless there — decision and
-/// admission flips are computed only for arms whose `jobs` pointer *is* arm
-/// 0's vector (the harness passes the identical vector for shared-context
-/// arms); other arms report zero flips but still carry saving/cost deltas.
-/// `jobs` in the result is arm 0's day size.
+/// output and replayed report. `ctxs`, `specs`, `decisions`, and `reports`
+/// are parallel (one entry per arm, >= 1; all contexts share one day index),
+/// and arm k's decisions and report must cover `ctxs[k].jobs`. Scenario arms
+/// decide a differently-generated workload, so a job-slot byte diff against
+/// arm 0 is meaningless there — decision and admission flips are computed
+/// only for arms whose `jobs` pointer *is* arm 0's vector (callers pass the
+/// identical vector for shared-context arms); other arms report zero flips
+/// but still carry saving/cost deltas. `jobs` in the result is arm 0's day
+/// size. Pure function — this is the consumer the shadow path reuses.
 Result<AbDayComparison> BuildAbDayComparison(
     const std::vector<DayContext>& ctxs, const std::vector<FleetArmSpec>& specs,
     const std::vector<FleetDayDecisions>& decisions,
@@ -140,13 +136,13 @@ std::string SerializeAbReport(const std::vector<AbDayComparison>& days);
 /// error.
 Result<std::vector<AbDayComparison>> ParseAbReport(const std::string& text);
 
-/// \brief Runs N arms over shared day contexts and emits paired comparisons.
+/// \brief Runs N arms over per-arm day contexts and emits paired comparisons.
 ///
 /// Each arm is a full DecisionArm: its own template cache, admission
 /// calibration, per-phase scratch arenas, and (when the specs carry
 /// namespaced registries) its own metric names. The driver itself owns no
-/// day state — callers build one DayContext per day and every arm decides
-/// exactly those jobs.
+/// day state — callers build the day's contexts (one per arm, entry k for
+/// arm k) and every arm decides exactly its context's jobs.
 class FleetAbDriver {
  public:
   /// `specs` must hold >= 1 arm with non-null engines and unique,
@@ -159,11 +155,9 @@ class FleetAbDriver {
   DecisionArm& arm(size_t k) { return *arms_[k]; }
   const DecisionArm& arm(size_t k) const { return *arms_[k]; }
 
-  /// Calibrate every arm's admission threshold from one historical day.
-  Status Calibrate(const DayContext& history);
-
-  /// Per-arm-context form: arm k calibrates from `histories[k]` (scenario
-  /// arms calibrate against their own workload's history).
+  /// Calibrate the admission thresholds: arm k calibrates from
+  /// `histories[k]` (scenario arms calibrate against their own workload's
+  /// history).
   Status Calibrate(const std::vector<DayContext>& histories);
 
   /// \brief One day under every arm: per-arm decisions, per-arm reports
@@ -175,33 +169,21 @@ class FleetAbDriver {
     std::vector<FleetDayReport> reports;       ///< per arm
   };
 
-  /// Decide + replay the day under every arm. Runs each arm's decide phase
-  /// (fresh decisions, no cache interaction) and then replays cache +
-  /// admission per arm in arrival order — the same decide/replay split a
-  /// shard merge uses, so each arm's report is byte-identical to a
-  /// standalone FleetDriver::RunDay under that arm's engine and config.
-  Result<AbDayResult> RunDay(const DayContext& ctx);
-
-  /// Per-arm-context form: arm k decides + replays `ctxs[k]` (one context
-  /// per arm, all sharing one day index). This is how scenario arms run one
-  /// day under per-arm workloads; arms passed the identical jobs vector keep
-  /// the full flip diff (see BuildAbDayComparison's per-arm-context form).
+  /// Decide + replay the day: arm k decides `ctxs[k]` (fresh decisions, no
+  /// cache interaction) and then replays cache + admission in arrival order
+  /// — the same decide/replay split a shard merge uses, so each arm's report
+  /// is byte-identical to a standalone DecisionArm::RunDay under that arm's
+  /// engine and config.
   Result<AbDayResult> RunDay(const std::vector<DayContext>& ctxs);
 
-  /// Decide phase only, every arm — the per-arm work a shard process
-  /// performs (see fleet_shard.h's v3 per-arm sections).
-  Result<std::vector<FleetDayDecisions>> DecideDay(const DayContext& ctx) const;
-
-  /// Per-arm-context decide phase: arm k decides `ctxs[k]`.
+  /// Decide phase only, every arm (arm k decides `ctxs[k]`) — the per-arm
+  /// work a shard process performs (see fleet_shard.h).
   Result<std::vector<FleetDayDecisions>> DecideDay(
       const std::vector<DayContext>& ctxs) const;
 
-  /// RunDay with every arm's decide phase replaced by `precomputed`
-  /// (parallel to the arms; from DecideDay, possibly in another process).
-  Result<AbDayResult> ReplayDay(const DayContext& ctx,
-                                const std::vector<FleetDayDecisions>& precomputed);
-
-  /// Per-arm-context replay: arm k replays `precomputed[k]` over `ctxs[k]`.
+  /// RunDay with every arm's decide phase replaced by `precomputed`: arm k
+  /// replays `precomputed[k]` over `ctxs[k]` (from DecideDay, possibly in
+  /// another process).
   Result<AbDayResult> ReplayDay(const std::vector<DayContext>& ctxs,
                                 const std::vector<FleetDayDecisions>& precomputed);
 

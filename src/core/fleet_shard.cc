@@ -10,13 +10,7 @@ namespace phoebe::core {
 namespace {
 
 constexpr const char* kMagic = "phoebe_shard";
-/// Maximum parseable format version. v2 added the optional per-day `report`
-/// section; v3 added per-day `arm` sections for A/B runs; v1 blobs
-/// (decisions only) still parse. The serializer stamps the lowest version
-/// that can express the blob (2 without arm sections, 3 with), so output for
-/// pre-v3 content is byte-identical to the pre-v3 serializer's.
-constexpr int kFormatVersion = 3;
-constexpr int kMinFormatVersion = 1;
+constexpr int kFormatVersion = 4;
 
 std::string CutBits(const cluster::CutSet& cut) {
   std::string bits;
@@ -199,17 +193,24 @@ Status ParseJobDecisionRecord(const std::string& text, size_t expected_index,
   return Status::OK();
 }
 
-Result<std::string> SerializeFleetShard(
-    const FleetShardHeader& header, const std::map<int, FleetDayDecisions>& days,
-    const std::map<int, FleetDayReport>* reports,
-    const std::map<int, std::map<int, FleetDayDecisions>>* arm_days,
-    const std::map<int, std::map<int, FleetDayReport>>* arm_reports) {
+Result<std::string> SerializeFleetShard(const FleetShardBlob& blob) {
+  const FleetShardHeader& header = blob.header;
   if (header.shard_count < 1 || header.shard_index < 0 ||
       header.shard_index >= header.shard_count) {
     return Status::InvalidArgument("invalid shard index/count");
   }
   if (header.num_days < 1) return Status::InvalidArgument("num_days must be >= 1");
-  for (const auto& [day, decisions] : days) {
+  if (header.arm_checksums.empty()) {
+    return Status::InvalidArgument("a shard blob needs at least one arm");
+  }
+  const size_t num_arms = header.arm_checksums.size();
+
+  std::string out = StrFormat("%s %d\n", kMagic, kFormatVersion);
+  out += StrFormat("shard %d %d days %d arms %zu checksums", header.shard_index,
+                   header.shard_count, header.num_days, num_arms);
+  for (uint32_t checksum : header.arm_checksums) out += StrFormat(" %08x", checksum);
+  out += "\n";
+  for (const auto& [day, arms] : blob.days) {
     if (day < 0 || day >= header.num_days) {
       return Status::InvalidArgument(StrFormat("day %d outside [0, %d)", day,
                                                header.num_days));
@@ -219,103 +220,28 @@ Result<std::string> SerializeFleetShard(
           StrFormat("day %d is not owned by shard %d/%d", day, header.shard_index,
                     header.shard_count));
     }
-    (void)decisions;
-  }
-  if (reports != nullptr) {
-    for (const auto& [day, report] : *reports) {
-      auto it = days.find(day);
-      if (it == days.end()) {
-        return Status::InvalidArgument(
-            StrFormat("report for day %d has no decision record", day));
-      }
-      if (report.outcomes.size() != it->second.decisions.size()) {
-        return Status::InvalidArgument(
-            StrFormat("report for day %d covers %zu jobs, decisions cover %zu", day,
-                      report.outcomes.size(), it->second.decisions.size()));
-      }
+    if (arms.size() != num_arms) {
+      return Status::InvalidArgument(StrFormat(
+          "day %d carries %zu arm(s), header declares %zu", day, arms.size(),
+          num_arms));
     }
-  }
-  bool has_arms = false;
-  if (arm_days != nullptr) {
-    for (const auto& [day, arms] : *arm_days) {
-      auto it = days.find(day);
-      if (it == days.end()) {
-        return Status::InvalidArgument(
-            StrFormat("arm sections for day %d have no arm-0 record", day));
+    out += StrFormat("day %d\n", day);
+    for (size_t k = 0; k < num_arms; ++k) {
+      const std::vector<std::optional<FleetDecision>>& decisions =
+          arms[k].decisions.decisions;
+      out += StrFormat("arm %zu jobs %zu\n", k, decisions.size());
+      for (size_t i = 0; i < decisions.size(); ++i) {
+        out += SerializeJobDecisionRecord(i, decisions[i]);
       }
-      for (const auto& [arm, decisions] : arms) {
-        if (arm < 1) {
+      if (arms[k].report.has_value()) {
+        if (arms[k].report->outcomes.size() != decisions.size()) {
           return Status::InvalidArgument(StrFormat(
-              "arm index %d for day %d must be >= 1 (arm 0 is the day record)",
-              arm, day));
+              "report for arm %zu of day %d covers %zu jobs, decisions cover %zu",
+              k, day, arms[k].report->outcomes.size(), decisions.size()));
         }
-        if (decisions.decisions.size() != it->second.decisions.size()) {
-          return Status::InvalidArgument(StrFormat(
-              "arm %d of day %d covers %zu jobs, arm 0 covers %zu", arm, day,
-              decisions.decisions.size(), it->second.decisions.size()));
-        }
-        has_arms = true;
+        out += SerializeDayReportSection(*arms[k].report);
       }
-    }
-  }
-  if (arm_reports != nullptr) {
-    for (const auto& [day, arms] : *arm_reports) {
-      const std::map<int, FleetDayDecisions>* day_arms = nullptr;
-      if (arm_days != nullptr) {
-        auto dit = arm_days->find(day);
-        if (dit != arm_days->end()) day_arms = &dit->second;
-      }
-      for (const auto& [arm, report] : arms) {
-        auto ait = day_arms == nullptr ? std::map<int, FleetDayDecisions>::const_iterator()
-                                       : day_arms->find(arm);
-        if (day_arms == nullptr || ait == day_arms->end()) {
-          return Status::InvalidArgument(StrFormat(
-              "report for arm %d of day %d has no decision record", arm, day));
-        }
-        if (report.outcomes.size() != ait->second.decisions.size()) {
-          return Status::InvalidArgument(StrFormat(
-              "report for arm %d of day %d covers %zu jobs, decisions cover %zu",
-              arm, day, report.outcomes.size(), ait->second.decisions.size()));
-        }
-      }
-    }
-  }
-
-  // Lowest version that can express the content: pre-v3 blobs must stay
-  // byte-identical to the pre-v3 serializer's output.
-  std::string out = StrFormat("%s %d\n", kMagic, has_arms ? 3 : 2);
-  out += StrFormat("shard %d %d days %d checksum %08x\n", header.shard_index,
-                   header.shard_count, header.num_days, header.bundle_checksum);
-  for (const auto& [day, decisions] : days) {
-    out += StrFormat("day %d jobs %zu\n", day, decisions.decisions.size());
-    for (size_t i = 0; i < decisions.decisions.size(); ++i) {
-      out += SerializeJobDecisionRecord(i, decisions.decisions[i]);
-    }
-    if (reports != nullptr) {
-      auto it = reports->find(day);
-      if (it != reports->end()) out += SerializeDayReportSection(it->second);
-    }
-    if (arm_days != nullptr) {
-      auto dit = arm_days->find(day);
-      if (dit != arm_days->end()) {
-        for (const auto& [arm, arm_decisions] : dit->second) {
-          out += StrFormat("arm %d jobs %zu\n", arm,
-                           arm_decisions.decisions.size());
-          for (size_t i = 0; i < arm_decisions.decisions.size(); ++i) {
-            out += SerializeJobDecisionRecord(i, arm_decisions.decisions[i]);
-          }
-          if (arm_reports != nullptr) {
-            auto rit = arm_reports->find(day);
-            if (rit != arm_reports->end()) {
-              auto arit = rit->second.find(arm);
-              if (arit != rit->second.end()) {
-                out += SerializeDayReportSection(arit->second);
-              }
-            }
-          }
-          out += "end_arm\n";
-        }
-      }
+      out += "end_arm\n";
     }
     out += "end_day\n";
   }
@@ -327,16 +253,16 @@ Result<FleetShardBlob> ParseFleetShard(const std::string& text) {
   LineReader r(text);
 
   PHOEBE_ASSIGN_OR_RETURN(std::string magic_line, r.Next());
-  int32_t version = 0;
   {
     std::vector<std::string> tok = Split(magic_line, ' ');
+    int32_t version = 0;
     if (tok.size() != 2 || tok[0] != kMagic || !ParseInt32(tok[1], &version).ok()) {
       return Status::InvalidArgument("not a phoebe shard blob (bad magic)");
     }
-    if (version < kMinFormatVersion || version > kFormatVersion) {
+    if (version != kFormatVersion) {
       return Status::InvalidArgument(
-          StrFormat("unsupported shard blob version %d (expected %d..%d)", version,
-                    kMinFormatVersion, kFormatVersion));
+          StrFormat("unsupported shard blob version %d (expected %d)", version,
+                    kFormatVersion));
     }
   }
 
@@ -344,15 +270,22 @@ Result<FleetShardBlob> ParseFleetShard(const std::string& text) {
   {
     PHOEBE_ASSIGN_OR_RETURN(std::string line, r.Next());
     std::vector<std::string> tok = Split(line, ' ');
-    if (tok.size() != 7 || tok[0] != "shard" || tok[3] != "days" ||
-        tok[5] != "checksum" ||
+    int32_t num_arms = 0;
+    if (tok.size() < 9 || tok[0] != "shard" || tok[3] != "days" ||
+        tok[5] != "arms" || tok[7] != "checksums" ||
         !ParseInt32(tok[1], &blob.header.shard_index).ok() ||
         !ParseInt32(tok[2], &blob.header.shard_count).ok() ||
-        !ParseInt32(tok[4], &blob.header.num_days).ok()) {
+        !ParseInt32(tok[4], &blob.header.num_days).ok() ||
+        !ParseInt32(tok[6], &num_arms).ok() || num_arms < 1 ||
+        tok.size() - 8 != static_cast<size_t>(num_arms)) {
       return Status::InvalidArgument("malformed shard header: " + line);
     }
-    if (!ParseHexU32(tok[6], &blob.header.bundle_checksum).ok()) {
-      return Status::InvalidArgument("malformed shard checksum: " + tok[6]);
+    for (size_t k = 8; k < tok.size(); ++k) {
+      uint32_t checksum = 0;
+      if (!ParseHexU32(tok[k], &checksum).ok()) {
+        return Status::InvalidArgument("malformed shard checksum: " + tok[k]);
+      }
+      blob.header.arm_checksums.push_back(checksum);
     }
     if (blob.header.shard_count < 1 || blob.header.shard_index < 0 ||
         blob.header.shard_index >= blob.header.shard_count) {
@@ -362,14 +295,14 @@ Result<FleetShardBlob> ParseFleetShard(const std::string& text) {
       return Status::InvalidArgument("invalid num_days in header");
     }
   }
+  const size_t num_arms = blob.header.arm_checksums.size();
 
   for (;;) {
     PHOEBE_ASSIGN_OR_RETURN(std::string line, r.Next());
     if (line == "end_shard") break;
     std::vector<std::string> tok = Split(line, ' ');
-    int32_t day = 0, num_jobs = 0;
-    if (tok.size() != 4 || tok[0] != "day" || tok[2] != "jobs" ||
-        !ParseInt32(tok[1], &day).ok() || !ParseInt32(tok[3], &num_jobs).ok() || num_jobs < 0) {
+    int32_t day = 0;
+    if (tok.size() != 2 || tok[0] != "day" || !ParseInt32(tok[1], &day).ok()) {
       return Status::InvalidArgument("malformed day header: " + line);
     }
     if (day < 0 || day >= blob.header.num_days) {
@@ -384,70 +317,42 @@ Result<FleetShardBlob> ParseFleetShard(const std::string& text) {
     if (blob.days.count(day) != 0) {
       return Status::InvalidArgument(StrFormat("duplicate day %d in blob", day));
     }
-    FleetDayDecisions decisions;
-    decisions.decisions.resize(static_cast<size_t>(num_jobs));
-    for (int i = 0; i < num_jobs; ++i) {
-      PHOEBE_ASSIGN_OR_RETURN(std::string job_line, r.Next());
-      PHOEBE_RETURN_NOT_OK(
-          ParseJobDecisionFromTokens(Split(job_line, ' '), static_cast<size_t>(i), r,
-                                     &decisions.decisions[static_cast<size_t>(i)]));
+    std::vector<ShardArmDay> arms(num_arms);
+    for (size_t k = 0; k < num_arms; ++k) {
+      PHOEBE_ASSIGN_OR_RETURN(std::string arm_line, r.Next());
+      std::vector<std::string> at = Split(arm_line, ' ');
+      int32_t arm = -1, num_jobs = -1;
+      if (at.size() != 4 || at[0] != "arm" || at[2] != "jobs" ||
+          !ParseInt32(at[1], &arm).ok() || static_cast<size_t>(arm) != k ||
+          !ParseInt32(at[3], &num_jobs).ok() || num_jobs < 0) {
+        return Status::InvalidArgument("malformed arm header: " + arm_line);
+      }
+      std::vector<std::optional<FleetDecision>>& decisions =
+          arms[k].decisions.decisions;
+      for (int32_t i = 0; i < num_jobs; ++i) {
+        PHOEBE_ASSIGN_OR_RETURN(std::string job_line, r.Next());
+        std::optional<FleetDecision> decision;
+        PHOEBE_RETURN_NOT_OK(ParseJobDecisionFromTokens(
+            Split(job_line, ' '), static_cast<size_t>(i), r, &decision));
+        decisions.push_back(std::move(decision));
+      }
+      PHOEBE_ASSIGN_OR_RETURN(std::string end_line, r.Next());
+      if (end_line.rfind("report ", 0) == 0) {
+        FleetDayReport report;
+        PHOEBE_RETURN_NOT_OK(ParseDayReportSection(
+            Split(end_line, ' '), arms[k].decisions, r, &report));
+        arms[k].report = std::move(report);
+        PHOEBE_ASSIGN_OR_RETURN(end_line, r.Next());
+      }
+      if (end_line != "end_arm") {
+        return Status::InvalidArgument("expected end_arm, got: " + end_line);
+      }
     }
     PHOEBE_ASSIGN_OR_RETURN(std::string end_line, r.Next());
-    if (end_line.rfind("report ", 0) == 0) {  // v2: optional embedded report
-      if (version < 2) {
-        return Status::InvalidArgument(
-            "report section in a version-1 shard blob");
-      }
-      FleetDayReport report;
-      PHOEBE_RETURN_NOT_OK(
-          ParseDayReportSection(Split(end_line, ' '), decisions, r, &report));
-      blob.reports.emplace(day, std::move(report));
-      PHOEBE_ASSIGN_OR_RETURN(end_line, r.Next());
-    }
-    int32_t last_arm = 0;
-    while (end_line.rfind("arm ", 0) == 0) {  // v3: optional A/B arm sections
-      if (version < 3) {
-        return Status::InvalidArgument(StrFormat(
-            "per-arm section in a version-%d shard blob", version));
-      }
-      std::vector<std::string> at = Split(end_line, ' ');
-      int32_t arm = 0, arm_jobs = 0;
-      if (at.size() != 4 || at[2] != "jobs" || !ParseInt32(at[1], &arm).ok() ||
-          !ParseInt32(at[3], &arm_jobs).ok()) {
-        return Status::InvalidArgument("malformed arm header: " + end_line);
-      }
-      // Arm 0 is the day's primary record; additional arms are strictly
-      // increasing and decide the same jobs.
-      if (arm <= last_arm || arm_jobs != num_jobs) {
-        return Status::InvalidArgument("malformed arm header: " + end_line);
-      }
-      last_arm = arm;
-      FleetDayDecisions arm_decisions;
-      arm_decisions.decisions.resize(static_cast<size_t>(arm_jobs));
-      for (int i = 0; i < arm_jobs; ++i) {
-        PHOEBE_ASSIGN_OR_RETURN(std::string job_line, r.Next());
-        PHOEBE_RETURN_NOT_OK(ParseJobDecisionFromTokens(
-            Split(job_line, ' '), static_cast<size_t>(i), r,
-            &arm_decisions.decisions[static_cast<size_t>(i)]));
-      }
-      PHOEBE_ASSIGN_OR_RETURN(std::string arm_end, r.Next());
-      if (arm_end.rfind("report ", 0) == 0) {
-        FleetDayReport report;
-        PHOEBE_RETURN_NOT_OK(ParseDayReportSection(Split(arm_end, ' '),
-                                                   arm_decisions, r, &report));
-        blob.arm_reports[day].emplace(arm, std::move(report));
-        PHOEBE_ASSIGN_OR_RETURN(arm_end, r.Next());
-      }
-      if (arm_end != "end_arm") {
-        return Status::InvalidArgument("expected end_arm, got: " + arm_end);
-      }
-      blob.arm_days[day].emplace(arm, std::move(arm_decisions));
-      PHOEBE_ASSIGN_OR_RETURN(end_line, r.Next());
-    }
     if (end_line != "end_day") {
       return Status::InvalidArgument("expected end_day, got: " + end_line);
     }
-    blob.days.emplace(day, std::move(decisions));
+    blob.days.emplace(day, std::move(arms));
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after end_shard");
@@ -455,8 +360,9 @@ Result<FleetShardBlob> ParseFleetShard(const std::string& text) {
   return blob;
 }
 
-Result<CombinedFleetShards> CombineFleetShards(
-    const std::vector<FleetShardBlob>& blobs, uint32_t expected_bundle_checksum) {
+Result<std::map<int, std::vector<ShardArmDay>>> CombineFleetShards(
+    const std::vector<FleetShardBlob>& blobs,
+    const std::vector<uint32_t>& expected_arm_checksums) {
   if (blobs.empty()) return Status::InvalidArgument("no shard blobs to combine");
   const int shard_count = blobs.front().header.shard_count;
   const int num_days = blobs.front().header.num_days;
@@ -465,32 +371,31 @@ Result<CombinedFleetShards> CombineFleetShards(
         StrFormat("expected %d shard blobs, got %zu", shard_count, blobs.size()));
   }
   std::vector<bool> seen(static_cast<size_t>(shard_count), false);
-  CombinedFleetShards merged;
+  std::map<int, std::vector<ShardArmDay>> merged;
   for (const FleetShardBlob& blob : blobs) {
     const FleetShardHeader& h = blob.header;
     if (h.shard_count != shard_count || h.num_days != num_days) {
       return Status::InvalidArgument("shard blobs disagree on shard count or day range");
     }
-    if (h.bundle_checksum != expected_bundle_checksum) {
+    if (h.arm_checksums.size() != expected_arm_checksums.size()) {
       return Status::InvalidArgument(StrFormat(
-          "shard %d was decided under bundle %08x, expected %08x — refusing to merge",
-          h.shard_index, h.bundle_checksum, expected_bundle_checksum));
+          "shard %d carries %zu arm(s), this run has %zu — refusing to merge",
+          h.shard_index, h.arm_checksums.size(), expected_arm_checksums.size()));
+    }
+    for (size_t k = 0; k < h.arm_checksums.size(); ++k) {
+      if (h.arm_checksums[k] != expected_arm_checksums[k]) {
+        return Status::InvalidArgument(StrFormat(
+            "shard %d arm %zu was decided under bundle %08x, expected %08x — "
+            "refusing to merge",
+            h.shard_index, k, h.arm_checksums[k], expected_arm_checksums[k]));
+      }
     }
     if (seen[static_cast<size_t>(h.shard_index)]) {
       return Status::InvalidArgument(StrFormat("duplicate shard index %d", h.shard_index));
     }
     seen[static_cast<size_t>(h.shard_index)] = true;
-    for (const auto& [day, decisions] : blob.days) {
-      merged.days.emplace(day, decisions);  // ParseFleetShard enforced ownership
-    }
-    for (const auto& [day, report] : blob.reports) {
-      merged.reports.emplace(day, report);
-    }
-    for (const auto& [day, arms] : blob.arm_days) {
-      merged.arm_days.emplace(day, arms);
-    }
-    for (const auto& [day, arms] : blob.arm_reports) {
-      merged.arm_reports.emplace(day, arms);
+    for (const auto& [day, arms] : blob.days) {
+      merged.emplace(day, arms);  // ParseFleetShard enforced ownership
     }
   }
   for (int s = 0; s < shard_count; ++s) {
@@ -499,7 +404,7 @@ Result<CombinedFleetShards> CombineFleetShards(
     }
   }
   for (int d = 0; d < num_days; ++d) {
-    if (merged.days.count(d) == 0) {
+    if (merged.count(d) == 0) {
       return Status::InvalidArgument(
           StrFormat("day %d missing from shard %d's blob", d, d % shard_count));
     }

@@ -3,54 +3,48 @@
 // a FleetDayReport stream byte-identical to the unsharded run.
 //
 // Protocol (see DESIGN.md "Artifacts & serving"):
-//   1. Every process loads the *same* PipelineBundle (the header carries the
-//      bundle checksum so a mismatched artifact fails loudly at merge).
+//   1. Every process loads the *same* bundle per arm (the header carries
+//      every arm's bundle checksum so a mismatched artifact fails loudly at
+//      merge). A plain fleet run is the one-arm case; a differential A/B run
+//      (core/fleet_ab.h) writes one section per arm.
 //   2. Shard I of N decides the days it owns — day d (0-based) belongs to
-//      shard d % N — with FleetDriver::DecideDay, which touches no shared
+//      shard d % N — with DecisionArm::DecideDay, which touches no shared
 //      state, and writes one blob file.
 //   3. A serial merge parses the blobs, checks they tile the day range
-//      exactly, and replays each day in order through FleetDriver::ReplayDay
-//      on one driver. The admission knapsack and the template decision cache
-//      are inherently sequential (admission consumes budget in arrival
-//      order; the cache carries state across days), so they run only here —
-//      and because ReplayDay shares RunDay's code path, the merged reports
-//      are byte-for-byte the unsharded ones.
+//      exactly under the expected arms, and replays each day in order
+//      through DecisionArm::ReplayDay. The admission knapsack and the
+//      template decision cache are inherently sequential (admission consumes
+//      budget in arrival order; the cache carries state across days), so
+//      they run only here — and because ReplayDay shares RunDay's code path,
+//      the merged reports are byte-for-byte the unsharded ones.
 //
 // Blob text format (line-oriented, strict parse, '\n' line ends):
-//   phoebe_shard 2
-//   shard <index> <count> days <num_days> checksum <crc32 hex8>
-//   day <d> jobs <m>
-//     job <i> -                                    # ineligible (< 2 stages)
-//     job <i> <objective> <global_bytes> <k>       # doubles as %.17g
-//       cut <01-bitstring>                         # k lines, innermost-first
-//     report <considered> <with_cut> <admitted> <storage> <total_tbs>
-//            <realized> <threshold> <hits> <misses> <evictions>  # optional, v2
-//       outcome <i> <job_id> <admitted01> <global_bytes> <predicted> <realized>
+//   phoebe_shard 4
+//   shard <index> <count> days <num_days> arms <n> checksums <crc32 hex8> x n
+//   day <d>
+//     arm <k> jobs <m>                             # k = 0..n-1, in order
+//       job <i> -                                  # ineligible (< 2 stages)
+//       job <i> <objective> <global_bytes> <c>     # doubles as %.17g
+//         cut <01-bitstring>                       # c lines, innermost-first
+//       report <considered> <with_cut> <admitted> <storage> <total_tbs>
+//              <realized> <threshold> <hits> <misses> <evictions>  # optional
+//         outcome <i> <job_id> <admitted01> <global_bytes> <predicted> <realized>
 //                                                  # m lines when report present
+//     end_arm
 //   end_day
 //   ...
 //   end_shard
 //
-// Version 2 adds the optional per-day `report` section: a shard that ran the
-// day's full admission locally (only valid when the run is unbudgeted and
-// cache-off — then each day is independent of every other day and of
-// arrival-order cache state) embeds the finished FleetDayReport, and the
-// merge becomes report concatenation instead of a per-day ReplayDay. Outcome
-// cut bitsets are not repeated: the parser reconstructs them from the day's
-// decision records, which RunDay copies them from verbatim. Version-1 blobs
-// (no report sections) still parse.
-//
-// Version 3 adds optional per-day *arm* sections for differential A/B runs
-// (core/fleet_ab.h): after the day's primary records (arm 0) and its
-// optional report, each additional arm k >= 1 embeds its own decisions —
-// same day, same job count — and optionally its own report:
-//   arm <k> jobs <m>          # k strictly increasing within the day
-//     job <i> ...             # m records, same line format as arm 0
-//     report ...              # optional, same format/conditions as arm 0
-//   end_arm
-// The serializer stamps version 3 only when an arm section is present, so
-// single-arm blobs stay byte-identical to v2 output; parsers reject arm
-// sections in v1/v2 blobs the way v1 rejects report sections.
+// Every arm is the same kind of record. Each arm section carries its own job
+// count: a scenario arm decides its own workload for the day. The optional
+// `report` is the arm's finished FleetDayReport, replayed shard-side; it is
+// only valid when the run is unbudgeted and cache-off (then each day is
+// independent of every other day and of arrival-order cache state), and
+// lets the merge concatenate reports instead of replaying each day. Outcome
+// cut bitsets are not repeated: the parser reconstructs them from the arm's
+// decision records, which RunDay copies them from verbatim. Blobs are in-run
+// intermediates written and read by one binary, so only the current version
+// parses.
 #pragma once
 
 #include <map>
@@ -64,31 +58,28 @@ namespace phoebe::core {
 
 /// \brief Identity of one shard's blob: which slice of which run it holds.
 struct FleetShardHeader {
-  int shard_index = 0;          ///< 0-based shard id
-  int shard_count = 1;          ///< total shards N
-  int num_days = 0;             ///< days in the whole run (not per shard)
-  uint32_t bundle_checksum = 0; ///< PipelineBundle::checksum() of the artifact
+  int shard_index = 0;  ///< 0-based shard id
+  int shard_count = 1;  ///< total shards N
+  int num_days = 0;     ///< days in the whole run (not per shard)
+  /// PipelineBundle::checksum() of each arm's artifact, in arm order; its
+  /// size is the run's arm count (>= 1).
+  std::vector<uint32_t> arm_checksums;
 };
 
-/// \brief A parsed shard blob: header + decisions for the days it owns, plus
-/// (v2, optional per day) the shard-side replayed report, plus (v3, optional
-/// per day) the additional arms' decisions/reports of an A/B run. Arm 0 of
-/// an A/B run is the primary `days`/`reports` pair, so single-arm consumers
-/// can read a v3 blob without knowing about arms.
+/// \brief One arm's output for one day: its decide-phase decisions plus,
+/// optionally, the report the shard replayed locally (outcome cut/cuts are
+/// reconstructed from `decisions` at parse time).
+struct ShardArmDay {
+  FleetDayDecisions decisions;
+  std::optional<FleetDayReport> report;
+};
+
+/// \brief A parsed shard blob: header + one ShardArmDay per arm for each day
+/// the shard owns.
 struct FleetShardBlob {
   FleetShardHeader header;
-  std::map<int, FleetDayDecisions> days;  ///< day index -> decide-phase output
-  /// Days whose report the shard replayed locally (subset of `days`; empty
-  /// for v1 blobs or decide-only shards). Outcome cut/cuts are reconstructed
-  /// from the decision records at parse time.
-  std::map<int, FleetDayReport> reports;
-  /// v3: day index -> arm index (>= 1) -> that arm's decide-phase output
-  /// over the same jobs. Every day with an entry here also appears in
-  /// `days` (its arm 0) with the same job count.
-  std::map<int, std::map<int, FleetDayDecisions>> arm_days;
-  /// v3: shard-side replayed reports per additional arm (subset of
-  /// `arm_days`, same validity conditions as `reports`).
-  std::map<int, std::map<int, FleetDayReport>> arm_reports;
+  /// day index -> one entry per arm, in arm order.
+  std::map<int, std::vector<ShardArmDay>> days;
 };
 
 /// True iff shard `shard_index` of `shard_count` owns day `day`.
@@ -110,49 +101,27 @@ std::string SerializeJobDecisionRecord(size_t index,
 Status ParseJobDecisionRecord(const std::string& text, size_t expected_index,
                               std::optional<FleetDecision>* out);
 
-/// Serialize one shard's decisions. `days` must hold exactly the days the
-/// header's shard owns in [0, num_days). `reports`, if non-null, embeds the
-/// shard-side replayed report for each day it covers (every report day must
-/// also appear in `days`, with matching outcome count); callers must only
-/// pass reports from unbudgeted, cache-off runs — the only configuration
-/// where a day's report is independent of the other days. `arm_days` /
-/// `arm_reports`, if non-null, embed the additional arms of an A/B run
-/// (arm indices >= 1; every arm day must appear in `days` with the same job
-/// count, every arm report in `arm_days`). The blob is stamped version 3
-/// iff at least one arm section is written, version 2 otherwise.
-Result<std::string> SerializeFleetShard(
-    const FleetShardHeader& header, const std::map<int, FleetDayDecisions>& days,
-    const std::map<int, FleetDayReport>* reports = nullptr,
-    const std::map<int, std::map<int, FleetDayDecisions>>* arm_days = nullptr,
-    const std::map<int, std::map<int, FleetDayReport>>* arm_reports = nullptr);
+/// Serialize one shard's blob. `days` must hold only days the header's
+/// shard owns in [0, num_days), each with exactly one entry per header arm;
+/// an embedded report must cover its arm's decisions slot for slot. Callers
+/// must only embed reports from unbudgeted, cache-off runs — the only
+/// configuration where a day's report is independent of the other days.
+Result<std::string> SerializeFleetShard(const FleetShardBlob& blob);
 
-/// Strict parse of a shard blob (format version 1, 2, or 3); any malformed
-/// line is an error.
+/// Strict parse of a shard blob (format version 4 only); any malformed line
+/// is an error.
 Result<FleetShardBlob> ParseFleetShard(const std::string& text);
-
-/// \brief Output of CombineFleetShards: the merged decision map (always
-/// complete over [0, num_days)) plus whatever shard-side reports the blobs
-/// embedded. When `reports` covers every day — and the merge-time config is
-/// unbudgeted and cache-off — the merge can emit them directly instead of
-/// replaying each day.
-struct CombinedFleetShards {
-  std::map<int, FleetDayDecisions> days;
-  std::map<int, FleetDayReport> reports;
-  /// v3 A/B runs: additional arms' decisions/reports, keyed like
-  /// FleetShardBlob's maps. Arm coverage is the caller's to check (the A/B
-  /// merge requires every day to carry the same arm set).
-  std::map<int, std::map<int, FleetDayDecisions>> arm_days;
-  std::map<int, std::map<int, FleetDayReport>> arm_reports;
-};
 
 /// Validate that `blobs` are the complete shard set of one run (headers
 /// agree, indices 0..N-1 appear exactly once, every day is present in its
-/// owner's blob and nowhere else) and merge them into one day->decisions map
-/// covering [0, num_days), carrying along any embedded shard-side reports.
-/// `expected_bundle_checksum` guards against merging blobs decided under a
-/// different artifact.
-Result<CombinedFleetShards> CombineFleetShards(
-    const std::vector<FleetShardBlob>& blobs, uint32_t expected_bundle_checksum);
+/// owner's blob and nowhere else) and merge them into one day -> per-arm map
+/// covering [0, num_days). Every blob must carry exactly
+/// `expected_arm_checksums.size()` arms, arm k decided under bundle
+/// `expected_arm_checksums[k]`, so blobs from other artifacts or another
+/// arm set are refused.
+Result<std::map<int, std::vector<ShardArmDay>>> CombineFleetShards(
+    const std::vector<FleetShardBlob>& blobs,
+    const std::vector<uint32_t>& expected_arm_checksums);
 
 /// Canonical single-line JSON rendering of a day report — the byte-compared
 /// unit of the shard/merge determinism guarantee (doubles as %.17g, key order

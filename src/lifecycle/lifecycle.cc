@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "common/json.h"
+#include "common/stats.h"
 #include "common/strings.h"
 
 namespace phoebe::lifecycle {
@@ -20,6 +21,34 @@ constexpr const char* kCurrentBundleFile = "current.phoebe";
 std::string HexChecksum(uint32_t crc) { return StrFormat("%08x", crc); }
 
 }  // namespace
+
+Status RetrainPolicy::Validate() const {
+  if (min_exec_r2 < -1.0 || min_exec_r2 > 1.0) {
+    return Status::InvalidArgument("min_exec_r2 must be in [-1, 1]");
+  }
+  if (max_age_days < 1) return Status::InvalidArgument("max_age_days must be >= 1");
+  if (train_window_days < 1) {
+    return Status::InvalidArgument("train_window_days must be >= 1");
+  }
+  if (min_history_days < 1) {
+    return Status::InvalidArgument("min_history_days must be >= 1");
+  }
+  return Status::OK();
+}
+
+double EvaluateExecR2(const core::StageCostPredictor& exec,
+                      const telemetry::WorkloadRepository& repo, int day) {
+  auto stats = repo.StatsBefore(day);
+  std::vector<double> y_true, y_pred;
+  for (const workload::JobInstance& job : repo.Day(day)) {
+    auto pred = exec.PredictJob(job, stats);
+    for (size_t i = 0; i < job.graph.num_stages(); ++i) {
+      y_true.push_back(job.truth[i].exec_seconds);
+      y_pred.push_back(pred[i]);
+    }
+  }
+  return RSquared(y_true, y_pred);
+}
 
 Status LifecycleConfig::Validate() const {
   PHOEBE_RETURN_NOT_OK(policy.Validate());
@@ -144,9 +173,9 @@ void LifecycleDriver::AdoptIncumbent(
     std::shared_ptr<const core::PipelineBundle> bundle, int day) {
   incumbent_ = std::move(bundle);
   engine_ = std::make_unique<core::DecisionEngine>(incumbent_, config_.metrics);
-  // A fresh fleet driver restarts the template cache empty: cached decisions
-  // were made by the previous model and must not serve the new one.
-  fleet_ = std::make_unique<core::FleetDriver>(engine_.get(), config_.fleet);
+  // A fresh arm restarts the template cache empty: cached decisions were
+  // made by the previous model and must not serve the new one.
+  serving_arm_ = std::make_unique<core::DecisionArm>(engine_.get(), config_.fleet);
   trained_on_day_ = day;
 }
 
@@ -212,13 +241,13 @@ Result<LifecycleDayReport> LifecycleDriver::OnDayCompleted(
   if (incumbent_->trained()) {
     const telemetry::HistoricStats stats = repo->StatsBefore(day);
     PHOEBE_ASSIGN_OR_RETURN(core::FleetDayReport fleet_report,
-                            fleet_->RunDay(jobs, stats));
+                            serving_arm_->RunDay(core::DayContext(day, jobs, stats)));
     report.served = true;
     report.jobs_with_cut = fleet_report.jobs_with_cut;
     report.jobs_admitted = fleet_report.jobs_admitted;
     report.saving_fraction = fleet_report.SavingFraction();
     // 2. Measure its accuracy on the day — the Figure 8 drift signal.
-    report.exec_r2 = core::EvaluateExecR2(incumbent_->exec_predictor(), *repo, day);
+    report.exec_r2 = EvaluateExecR2(incumbent_->exec_predictor(), *repo, day);
     obs::Set(metrics_.exec_r2, report.exec_r2);
   }
   obs::Set(metrics_.model_age, static_cast<double>(report.model_age_days));
@@ -286,7 +315,7 @@ Result<LifecycleDayReport> LifecycleDriver::OnDayCompleted(
       // The serving arm decides the same context (DecideDay is const: no
       // cache interaction, so serving state is untouched).
       PHOEBE_ASSIGN_OR_RETURN(core::FleetDayDecisions incumbent_decisions,
-                              fleet_->arm().DecideDay(ctx));
+                              serving_arm_->DecideDay(ctx));
       PHOEBE_ASSIGN_OR_RETURN(core::FleetDayDecisions candidate_decisions,
                               candidate_arm.DecideDay(ctx));
       PHOEBE_ASSIGN_OR_RETURN(

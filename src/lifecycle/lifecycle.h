@@ -7,10 +7,10 @@
 // over the repo's existing pieces:
 //
 //   day d completes
-//     ├─ the incumbent bundle serves the day's decisions (FleetDriver,
+//     ├─ the incumbent bundle serves the day's decisions (a DecisionArm,
 //     │  threads + template cache, budget-free admission)
 //     ├─ the incumbent's exec R^2 on the day is measured (EvaluateExecR2 —
-//     │  the same Figure 8 signal RetrainingDriver uses)
+//     │  the Figure 8 accuracy-decay signal)
 //     ├─ RetrainPolicy decides: bootstrap | accuracy decay | age → train a
 //     │  *candidate* PipelineBundle on the trailing train window
 //     ├─ canary backtest: incumbent and candidate decide the trailing
@@ -45,7 +45,6 @@
 #include "core/evaluate.h"
 #include "core/fleet.h"
 #include "core/pipeline.h"
-#include "core/retrainer.h"
 #include "lifecycle/promotion_log.h"
 #include "lifecycle/shadow.h"
 #include "obs/metrics.h"
@@ -53,11 +52,27 @@
 
 namespace phoebe::lifecycle {
 
+/// \brief When to retrain.
+struct RetrainPolicy {
+  double min_exec_r2 = 0.70;   ///< retrain if held-out exec R^2 drops below
+  int max_age_days = 7;        ///< retrain at least this often
+  int train_window_days = 5;   ///< days of history per training run
+  int min_history_days = 2;    ///< wait for this much history before training
+
+  Status Validate() const;
+};
+
+/// Held-out R^2 of `exec` on `day`'s stage runtimes, featurized against the
+/// historic stats available strictly before `day` — the accuracy-decay
+/// signal of Figure 8 that triggers an accuracy retrain.
+double EvaluateExecR2(const core::StageCostPredictor& exec,
+                      const telemetry::WorkloadRepository& repo, int day);
+
 /// \brief Knobs for the continuous-operation loop.
 struct LifecycleConfig {
   /// When to retrain (accuracy decay / age / bootstrap) and how much history
-  /// each training run sees — shared with RetrainingDriver.
-  core::RetrainPolicy policy;
+  /// each training run sees.
+  RetrainPolicy policy;
   /// Trailing days (ending at the retrain day) both bundles are backtested
   /// on for the canary comparison.
   int backtest_window_days = 3;
@@ -176,7 +191,7 @@ class LifecycleDriver {
   Status InitArtifacts();
   Status AppendArtifactLine(const std::string& file, const std::string& line);
 
-  /// Re-seat the serving side on `bundle` (fresh engine + fleet driver; the
+  /// Re-seat the serving side on `bundle` (fresh engine + decision arm; the
   /// template cache restarts empty — entries decided under the old model
   /// must not serve the new one).
   void AdoptIncumbent(std::shared_ptr<const core::PipelineBundle> bundle, int day);
@@ -197,7 +212,7 @@ class LifecycleDriver {
 
   std::shared_ptr<const core::PipelineBundle> incumbent_;
   std::unique_ptr<core::DecisionEngine> engine_;
-  std::unique_ptr<core::FleetDriver> fleet_;
+  std::unique_ptr<core::DecisionArm> serving_arm_;
   int trained_on_day_ = -1;
   int last_day_ = -1;
 

@@ -3,7 +3,7 @@
 //
 // When the lifecycle loop trains a candidate bundle, the candidate's
 // would-be decisions for the day's jobs are computed through the same
-// decide-phase code path a fleet shard runs (FleetDriver::DecideDay) and
+// decide-phase code path a fleet shard runs (DecisionArm::DecideDay) and
 // serialized as shard-blob job records (core/fleet_shard.h) — the exact
 // bytes a shard process or the serve daemon would emit for the same job
 // under that bundle. The diff against the incumbent's records is therefore

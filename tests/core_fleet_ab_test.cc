@@ -1,7 +1,7 @@
 // Tests for the differential fleet A/B harness: every arm's report must be
-// byte-identical to a standalone FleetDriver run under that arm's config,
+// byte-identical to a standalone DecisionArm run under that arm's config,
 // the paired report must be byte-identical across thread counts, cache
-// modes, and shard counts (via v3 per-arm blob sections), identical arms
+// modes, and shard counts (via per-arm blob sections), identical arms
 // must diff to zero, and the paired-report text format must round-trip and
 // parse strictly.
 #include <gtest/gtest.h>
@@ -54,6 +54,12 @@ class FleetAbFixture : public ::testing::Test {
     return repo_->StatsBefore(kTrainDays + d);
   }
 
+  /// One shared context for each of `n` arms: every arm decides the same
+  /// jobs vector, so the paired report carries the full flip diff.
+  static std::vector<DayContext> Shared(const DayContext& ctx, size_t n = 2) {
+    return std::vector<DayContext>(n, ctx);
+  }
+
   /// Two arms over the shared bundle: the baseline config and a two-cut
   /// variant (guaranteed to flip decisions, so diffs are non-trivial).
   static std::vector<FleetArmSpec> TwoArms(const FleetConfig& base) {
@@ -65,7 +71,7 @@ class FleetAbFixture : public ::testing::Test {
   }
 
   /// The serialized paired report of a full run under the given knobs.
-  /// shard_count > 1 routes every arm's decide phase through the v3 blob
+  /// shard_count > 1 routes every arm's decide phase through the blob
   /// protocol (serialize -> parse -> combine -> ReplayDay), exactly like N
   /// shard processes plus a merge.
   static std::string PairedReport(int threads, bool cache, int shard_count,
@@ -81,7 +87,7 @@ class FleetAbFixture : public ::testing::Test {
     if (budgeted) {
       const auto& history = FleetDay(-1);
       auto history_stats = FleetStats(-1);
-      driver.Calibrate(DayContext(-1, history, history_stats)).Check();
+      driver.Calibrate(Shared(DayContext(-1, history, history_stats))).Check();
     }
 
     std::vector<AbDayComparison> days;
@@ -89,7 +95,7 @@ class FleetAbFixture : public ::testing::Test {
       for (int d = 0; d < kFleetDays; ++d) {
         const auto& jobs = FleetDay(d);
         auto stats = FleetStats(d);
-        auto result = driver.RunDay(DayContext(d, jobs, stats));
+        auto result = driver.RunDay(Shared(DayContext(d, jobs, stats)));
         result.status().Check();
         days.push_back(std::move(result->comparison));
       }
@@ -101,36 +107,34 @@ class FleetAbFixture : public ::testing::Test {
     for (int s = 0; s < shard_count; ++s) {
       // Fresh driver per shard, exactly like an independent process.
       FleetAbDriver shard_driver(TwoArms(base));
-      std::map<int, FleetDayDecisions> day_records;
-      std::map<int, std::map<int, FleetDayDecisions>> arm_days;
+      FleetShardBlob blob;
+      blob.header = FleetShardHeader{s, shard_count, kFleetDays, {checksum, checksum}};
       for (int d = 0; d < kFleetDays; ++d) {
         if (!ShardOwnsDay(d, s, shard_count)) continue;
         const auto& jobs = FleetDay(d);
         auto stats = FleetStats(d);
-        auto decisions = shard_driver.DecideDay(DayContext(d, jobs, stats));
+        auto decisions = shard_driver.DecideDay(Shared(DayContext(d, jobs, stats)));
         decisions.status().Check();
-        for (size_t k = 1; k < decisions->size(); ++k) {
-          arm_days[d].emplace(static_cast<int>(k), std::move((*decisions)[k]));
+        for (FleetDayDecisions& arm : *decisions) {
+          blob.days[d].push_back(ShardArmDay{std::move(arm), std::nullopt});
         }
-        day_records.emplace(d, std::move(decisions->front()));
       }
-      FleetShardHeader header{s, shard_count, kFleetDays, checksum};
-      auto text = SerializeFleetShard(header, day_records, nullptr,
-                                      arm_days.empty() ? nullptr : &arm_days);
+      auto text = SerializeFleetShard(blob);
       text.status().Check();
       auto parsed = ParseFleetShard(*text);  // round-trip through the file form
       parsed.status().Check();
       blobs.push_back(std::move(*parsed));
     }
-    auto merged = CombineFleetShards(blobs, checksum);
+    auto merged = CombineFleetShards(blobs, {checksum, checksum});
     merged.status().Check();
     for (int d = 0; d < kFleetDays; ++d) {
       const auto& jobs = FleetDay(d);
       auto stats = FleetStats(d);
       std::vector<FleetDayDecisions> precomputed;
-      precomputed.push_back(std::move(merged->days.at(d)));
-      precomputed.push_back(std::move(merged->arm_days.at(d).at(1)));
-      auto result = driver.ReplayDay(DayContext(d, jobs, stats), precomputed);
+      for (ShardArmDay& arm : merged->at(d)) {
+        precomputed.push_back(std::move(arm.decisions));
+      }
+      auto result = driver.ReplayDay(Shared(DayContext(d, jobs, stats)), precomputed);
       result.status().Check();
       days.push_back(std::move(result->comparison));
     }
@@ -148,7 +152,7 @@ PhoebePipeline* FleetAbFixture::pipeline_ = nullptr;
 
 // The N=1 reseat guarantee, observed at the report level: each arm's
 // FleetDayReport inside an A/B run is byte-identical to the report a
-// standalone FleetDriver produces under that arm's engine and config —
+// standalone DecisionArm produces under that arm's engine and config —
 // unbudgeted and budgeted.
 TEST_F(FleetAbFixture, FleetAbArmReportsMatchStandaloneDriverBytes) {
   for (bool budgeted : {false, true}) {
@@ -157,23 +161,25 @@ TEST_F(FleetAbFixture, FleetAbArmReportsMatchStandaloneDriverBytes) {
     FleetConfig twocut = base;
     twocut.num_cuts = 2;
     FleetAbDriver ab(TwoArms(base));
-    FleetDriver solo_base(&pipeline_->engine(), base);
-    FleetDriver solo_twocut(&pipeline_->engine(), twocut);
+    DecisionArm solo_base(&pipeline_->engine(), base);
+    DecisionArm solo_twocut(&pipeline_->engine(), twocut);
     if (budgeted) {
       const auto& history = FleetDay(-1);
       auto history_stats = FleetStats(-1);
-      ab.Calibrate(DayContext(-1, history, history_stats)).Check();
-      solo_base.Calibrate(history, history_stats).Check();
-      solo_twocut.Calibrate(history, history_stats).Check();
+      const DayContext history_ctx(-1, history, history_stats);
+      ab.Calibrate(Shared(history_ctx)).Check();
+      solo_base.Calibrate(history_ctx).Check();
+      solo_twocut.Calibrate(history_ctx).Check();
     }
     for (int d = 0; d < kFleetDays; ++d) {
       const auto& jobs = FleetDay(d);
       auto stats = FleetStats(d);
-      auto result = ab.RunDay(DayContext(d, jobs, stats));
+      const DayContext ctx(d, jobs, stats);
+      auto result = ab.RunDay(Shared(ctx));
       result.status().Check();
-      auto base_report = solo_base.RunDay(jobs, stats);
+      auto base_report = solo_base.RunDay(ctx);
       base_report.status().Check();
-      auto twocut_report = solo_twocut.RunDay(jobs, stats);
+      auto twocut_report = solo_twocut.RunDay(ctx);
       twocut_report.status().Check();
       EXPECT_EQ(FleetDayReportJson(result->reports[0], d),
                 FleetDayReportJson(*base_report, d))
@@ -216,7 +222,7 @@ TEST_F(FleetAbFixture, FleetAbIdenticalArmsProduceZeroDiff) {
   for (int d = 0; d < kFleetDays; ++d) {
     const auto& jobs = FleetDay(d);
     auto stats = FleetStats(d);
-    auto result = driver.RunDay(DayContext(d, jobs, stats));
+    auto result = driver.RunDay(Shared(DayContext(d, jobs, stats)));
     result.status().Check();
     const AbDayComparison& cmp = result->comparison;
     ASSERT_EQ(cmp.arms.size(), 2u);
@@ -260,10 +266,11 @@ TEST_F(FleetAbFixture, FleetAbRejectsInvalidSpecs) {
   FleetConfig base;
   const DecisionEngine* engine = &pipeline_->engine();
   auto run = [&](std::vector<FleetArmSpec> specs) {
+    const size_t n = specs.size();
     FleetAbDriver driver(std::move(specs));
     const auto& jobs = FleetDay(0);
     auto stats = FleetStats(0);
-    return driver.RunDay(DayContext(0, jobs, stats)).status();
+    return driver.RunDay(Shared(DayContext(0, jobs, stats), n)).status();
   };
   EXPECT_FALSE(run({}).ok());
   EXPECT_FALSE(run({{"a", nullptr, base, 0}}).ok());

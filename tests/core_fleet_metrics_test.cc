@@ -43,10 +43,11 @@ class FleetMetricsTest : public ::testing::Test {
 
   /// Render the two test days through one driver as the CLI would.
   static std::string RunDays(const DecisionEngine* engine, FleetConfig cfg) {
-    FleetDriver driver(engine, cfg);
+    DecisionArm driver(engine, cfg);
     std::string out;
     for (int day : {3, 4}) {
-      auto report = driver.RunDay(repo_->Day(day), repo_->StatsBefore(day));
+      auto report =
+          driver.RunDay(DayContext(day, repo_->Day(day), repo_->StatsBefore(day)));
       EXPECT_TRUE(report.ok()) << report.status().ToString();
       out += FleetDayReportJson(*report, day);
       out += "\n";
@@ -95,11 +96,12 @@ TEST_F(FleetMetricsTest, RecordedCountsMatchTheReport) {
   cfg.template_cache.enabled = true;
   cfg.template_cache.capacity = 4;  // tiny: force evictions
   cfg.metrics = &reg;
-  FleetDriver driver(&engine, cfg);
+  DecisionArm driver(&engine, cfg);
 
   int64_t jobs_total = 0, hits = 0, misses = 0, evictions = 0;
   for (int day : {3, 4}) {
-    auto report = driver.RunDay(repo_->Day(day), repo_->StatsBefore(day));
+    auto report =
+        driver.RunDay(DayContext(day, repo_->Day(day), repo_->StatsBefore(day)));
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     jobs_total += report->jobs_considered;
     hits += report->cache_hits;
@@ -138,10 +140,12 @@ TEST_F(FleetMetricsTest, InvalidConfigsAreRejectedAtEveryEntryPoint) {
   FleetConfig bad;
   bad.num_cuts = 0;
   EXPECT_FALSE(bad.Validate().ok());
-  FleetDriver driver(&pipeline_->engine(), bad);
-  EXPECT_FALSE(driver.RunDay(repo_->Day(3), repo_->StatsBefore(3)).ok());
-  EXPECT_FALSE(driver.DecideDay(repo_->Day(3), repo_->StatsBefore(3)).ok());
-  EXPECT_FALSE(driver.Calibrate(repo_->Day(3), repo_->StatsBefore(3)).ok());
+  DecisionArm driver(&pipeline_->engine(), bad);
+  const telemetry::HistoricStats stats = repo_->StatsBefore(3);
+  const DayContext ctx(3, repo_->Day(3), stats);
+  EXPECT_FALSE(driver.RunDay(ctx).ok());
+  EXPECT_FALSE(driver.DecideDay(ctx).ok());
+  EXPECT_FALSE(driver.Calibrate(ctx).ok());
 
   FleetConfig bad_cache;
   bad_cache.template_cache.enabled = true;

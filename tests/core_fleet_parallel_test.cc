@@ -108,11 +108,12 @@ class FleetParallelFixture : public ::testing::Test {
     std::vector<FleetDayReport> reports;
     for (int threads : {1, 2, 8}) {
       cfg.num_threads = threads;
-      FleetDriver driver(&pipeline_->engine(), cfg);
+      DecisionArm driver(&pipeline_->engine(), cfg);
       if (calibrate) {
-        ASSERT_TRUE(driver.Calibrate(repo_->Day(4), repo_->StatsBefore(4)).ok());
+        ASSERT_TRUE(
+            driver.Calibrate(DayContext(-1, repo_->Day(4), repo_->StatsBefore(4))).ok());
       }
-      auto report = driver.RunDay(repo_->Day(5), repo_->StatsBefore(5));
+      auto report = driver.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5)));
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       reports.push_back(*std::move(report));
     }
@@ -137,8 +138,8 @@ TEST_F(FleetParallelFixture, BudgetedDayIsThreadCountInvariant) {
   // A finite budget makes admission order-sensitive: any reordering of the
   // knapsack offers would show up immediately as a different admitted set.
   FleetConfig open_cfg;
-  FleetDriver open_driver(&pipeline_->engine(), open_cfg);
-  auto open = open_driver.RunDay(repo_->Day(5), repo_->StatsBefore(5));
+  DecisionArm open_driver(&pipeline_->engine(), open_cfg);
+  auto open = open_driver.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5)));
   ASSERT_TRUE(open.ok());
 
   FleetConfig cfg;
@@ -160,14 +161,14 @@ TEST_F(FleetParallelFixture, RecoveryObjectiveIsThreadCountInvariant) {
 
 TEST_F(FleetParallelFixture, HardwareConcurrencyModeMatchesSerial) {
   FleetConfig serial_cfg;  // num_threads = 1
-  FleetDriver serial(&pipeline_->engine(), serial_cfg);
-  auto a = serial.RunDay(repo_->Day(5), repo_->StatsBefore(5));
+  DecisionArm serial(&pipeline_->engine(), serial_cfg);
+  auto a = serial.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5)));
   ASSERT_TRUE(a.ok());
 
   FleetConfig auto_cfg;
   auto_cfg.num_threads = 0;  // hardware concurrency
-  FleetDriver parallel(&pipeline_->engine(), auto_cfg);
-  auto b = parallel.RunDay(repo_->Day(5), repo_->StatsBefore(5));
+  DecisionArm parallel(&pipeline_->engine(), auto_cfg);
+  auto b = parallel.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5)));
   ASSERT_TRUE(b.ok());
   ExpectIdentical(*a, *b);
 }
@@ -176,9 +177,9 @@ TEST_F(FleetParallelFixture, MultiCutOutcomesAreNestedAndAligned) {
   FleetConfig cfg;
   cfg.num_cuts = 3;
   cfg.num_threads = 2;
-  FleetDriver driver(&pipeline_->engine(), cfg);
+  DecisionArm driver(&pipeline_->engine(), cfg);
   const auto& jobs = repo_->Day(5);
-  auto report = driver.RunDay(jobs, repo_->StatsBefore(5));
+  auto report = driver.RunDay(DayContext(5, jobs, repo_->StatsBefore(5)));
   ASSERT_TRUE(report.ok());
   int multi = 0;
   for (size_t i = 0; i < jobs.size(); ++i) {

@@ -51,11 +51,12 @@ class FleetScratchDeterminismTest : public ::testing::Test {
   /// second day decides through arenas already warmed (and possibly
   /// oversized) by the first.
   static std::string TwoDayReports(const FleetConfig& cfg) {
-    FleetDriver driver(&pipeline_->engine(), cfg);
+    DecisionArm driver(&pipeline_->engine(), cfg);
     std::string out;
     for (int d = 0; d < kTestDays; ++d) {
       auto report =
-          driver.RunDay(repo_->Day(kTrainDays + d), repo_->StatsBefore(kTrainDays + d));
+          driver.RunDay(DayContext(kTrainDays + d, repo_->Day(kTrainDays + d),
+                                   repo_->StatsBefore(kTrainDays + d)));
       report.status().Check();
       out += FleetDayReportJson(*report, d) + "\n";
     }

@@ -1,10 +1,12 @@
 // Tests for multi-process fleet sharding: DecideDay/ReplayDay must reproduce
 // RunDay byte-for-byte, shard blobs must round-trip through their text form,
-// and merging N in {1,2,4} shards must yield a FleetDayReport stream
-// byte-identical to the unsharded run — with the template cache off and on.
+// merging N in {1,2,4} shards must yield a FleetDayReport stream
+// byte-identical to the unsharded run — with the template cache off and on —
+// and the merge must refuse blobs decided under any other arm set.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,17 +52,68 @@ class FleetShardFixture : public ::testing::Test {
   static telemetry::HistoricStats FleetStats(int d) {
     return repo_->StatsBefore(kTrainDays + d);
   }
+  /// Fleet day `d`'s context; `stats` must outlive every use of it.
+  static DayContext Context(int d, const telemetry::HistoricStats& stats) {
+    return DayContext(d, FleetDay(d), stats);
+  }
+  static void CalibrateOnLastTrainDay(DecisionArm& arm) {
+    const telemetry::HistoricStats stats = repo_->StatsBefore(kTrainDays - 1);
+    arm.Calibrate(DayContext(-1, repo_->Day(kTrainDays - 1), stats)).Check();
+  }
+  static uint32_t Checksum() { return pipeline_->bundle()->checksum(); }
+
+  /// Decide-phase output of fleet day `d` under `cfg` (fresh arm).
+  static FleetDayDecisions Decide(const FleetConfig& cfg, int d) {
+    DecisionArm arm(&pipeline_->engine(), cfg);
+    const telemetry::HistoricStats stats = FleetStats(d);
+    auto decisions = arm.DecideDay(Context(d, stats));
+    decisions.status().Check();
+    return std::move(*decisions);
+  }
+
+  /// Decide + shard-side replay of fleet day `d` under `cfg` (fresh arm):
+  /// the arm section an unbudgeted, cache-off shard writes.
+  static ShardArmDay DecideAndReplay(const FleetConfig& cfg, int d) {
+    DecisionArm arm(&pipeline_->engine(), cfg);
+    const telemetry::HistoricStats stats = FleetStats(d);
+    ShardArmDay out{Decide(cfg, d), std::nullopt};
+    auto report = arm.ReplayDay(Context(d, stats), out.decisions);
+    report.status().Check();
+    out.report = std::move(*report);
+    return out;
+  }
+
+  /// Shard `index` of `count` of a run whose arm k is decided under
+  /// `arm_cfgs[k]` (every arm serves this fixture's bundle), serialized and
+  /// parsed back — i.e. the file form a shard process hands to the merge.
+  static FleetShardBlob ShardBlob(int index, int count,
+                                  const std::vector<FleetConfig>& arm_cfgs,
+                                  bool with_reports = false) {
+    FleetShardBlob blob;
+    blob.header = FleetShardHeader{index, count, kFleetDays,
+                                   std::vector<uint32_t>(arm_cfgs.size(), Checksum())};
+    for (int d = 0; d < kFleetDays; ++d) {
+      if (!ShardOwnsDay(d, index, count)) continue;
+      for (const FleetConfig& cfg : arm_cfgs) {
+        blob.days[d].push_back(with_reports ? DecideAndReplay(cfg, d)
+                                            : ShardArmDay{Decide(cfg, d), std::nullopt});
+      }
+    }
+    auto text = SerializeFleetShard(blob);
+    text.status().Check();
+    auto parsed = ParseFleetShard(*text);
+    parsed.status().Check();
+    return std::move(*parsed);
+  }
 
   /// The canonical report stream of a sequential run under `cfg`.
   static std::string SequentialReports(const FleetConfig& cfg, bool budgeted) {
-    FleetDriver driver(&pipeline_->engine(), cfg);
-    if (budgeted) {
-      driver.Calibrate(repo_->Day(kTrainDays - 1), repo_->StatsBefore(kTrainDays - 1))
-          .Check();
-    }
+    DecisionArm arm(&pipeline_->engine(), cfg);
+    if (budgeted) CalibrateOnLastTrainDay(arm);
     std::string out;
     for (int d = 0; d < kFleetDays; ++d) {
-      auto report = driver.RunDay(FleetDay(d), FleetStats(d));
+      const telemetry::HistoricStats stats = FleetStats(d);
+      auto report = arm.RunDay(Context(d, stats));
       report.status().Check();
       out += FleetDayReportJson(*report, d) + "\n";
     }
@@ -71,38 +124,19 @@ class FleetShardFixture : public ::testing::Test {
   /// parse -> combine -> ReplayDay, i.e. the full blob protocol in-process.
   static std::string ShardedReports(const FleetConfig& cfg, bool budgeted,
                                     int shard_count) {
-    const uint32_t checksum = pipeline_->bundle()->checksum();
     std::vector<FleetShardBlob> blobs;
     for (int s = 0; s < shard_count; ++s) {
-      // Fresh driver per shard, exactly like an independent process.
-      FleetDriver shard_driver(&pipeline_->engine(), cfg);
-      std::map<int, FleetDayDecisions> days;
-      for (int d = 0; d < kFleetDays; ++d) {
-        if (!ShardOwnsDay(d, s, shard_count)) continue;
-        auto decisions = shard_driver.DecideDay(FleetDay(d), FleetStats(d));
-        decisions.status().Check();
-        days.emplace(d, std::move(*decisions));
-      }
-      FleetShardHeader header{s, shard_count, kFleetDays, checksum};
-      auto text = SerializeFleetShard(header, days);
-      text.status().Check();
-      auto parsed = ParseFleetShard(*text);  // round-trip through the file form
-      parsed.status().Check();
-      blobs.push_back(std::move(*parsed));
+      blobs.push_back(ShardBlob(s, shard_count, {cfg}));
     }
-    auto merged = CombineFleetShards(blobs, checksum);
+    auto merged = CombineFleetShards(blobs, {Checksum()});
     merged.status().Check();
 
-    FleetDriver merge_driver(&pipeline_->engine(), cfg);
-    if (budgeted) {
-      merge_driver
-          .Calibrate(repo_->Day(kTrainDays - 1), repo_->StatsBefore(kTrainDays - 1))
-          .Check();
-    }
+    DecisionArm merge_arm(&pipeline_->engine(), cfg);
+    if (budgeted) CalibrateOnLastTrainDay(merge_arm);
     std::string out;
     for (int d = 0; d < kFleetDays; ++d) {
-      auto report =
-          merge_driver.ReplayDay(FleetDay(d), FleetStats(d), merged->days.at(d));
+      const telemetry::HistoricStats stats = FleetStats(d);
+      auto report = merge_arm.ReplayDay(Context(d, stats), merged->at(d)[0].decisions);
       report.status().Check();
       out += FleetDayReportJson(*report, d) + "\n";
     }
@@ -110,37 +144,20 @@ class FleetShardFixture : public ::testing::Test {
   }
 
   /// The report stream of an N-shard run where each shard replays its days
-  /// locally (v2 embedded reports) and the merge is report concatenation —
-  /// no ReplayDay at merge time. Only valid unbudgeted + cache-off.
+  /// locally (embedded reports) and the merge is report concatenation — no
+  /// ReplayDay at merge time. Only valid unbudgeted + cache-off.
   static std::string ShardSideReports(const FleetConfig& cfg, int shard_count) {
-    const uint32_t checksum = pipeline_->bundle()->checksum();
     std::vector<FleetShardBlob> blobs;
     for (int s = 0; s < shard_count; ++s) {
-      FleetDriver shard_driver(&pipeline_->engine(), cfg);
-      std::map<int, FleetDayDecisions> days;
-      std::map<int, FleetDayReport> reports;
-      for (int d = 0; d < kFleetDays; ++d) {
-        if (!ShardOwnsDay(d, s, shard_count)) continue;
-        auto decisions = shard_driver.DecideDay(FleetDay(d), FleetStats(d));
-        decisions.status().Check();
-        auto report = shard_driver.ReplayDay(FleetDay(d), FleetStats(d), *decisions);
-        report.status().Check();
-        days.emplace(d, std::move(*decisions));
-        reports.emplace(d, std::move(*report));
-      }
-      FleetShardHeader header{s, shard_count, kFleetDays, checksum};
-      auto text = SerializeFleetShard(header, days, &reports);
-      text.status().Check();
-      auto parsed = ParseFleetShard(*text);
-      parsed.status().Check();
-      blobs.push_back(std::move(*parsed));
+      blobs.push_back(ShardBlob(s, shard_count, {cfg}, /*with_reports=*/true));
     }
-    auto merged = CombineFleetShards(blobs, checksum);
+    auto merged = CombineFleetShards(blobs, {Checksum()});
     merged.status().Check();
-    EXPECT_EQ(merged->reports.size(), static_cast<size_t>(kFleetDays));
     std::string out;
     for (int d = 0; d < kFleetDays; ++d) {
-      out += FleetDayReportJson(merged->reports.at(d), d) + "\n";
+      const std::optional<FleetDayReport>& report = merged->at(d)[0].report;
+      EXPECT_TRUE(report.has_value()) << "day " << d;
+      if (report.has_value()) out += FleetDayReportJson(*report, d) + "\n";
     }
     return out;
   }
@@ -156,12 +173,13 @@ PhoebePipeline* FleetShardFixture::pipeline_ = nullptr;
 
 TEST_F(FleetShardFixture, ReplayDayReproducesRunDay) {
   FleetConfig cfg;
-  FleetDriver a(&pipeline_->engine(), cfg);
-  FleetDriver b(&pipeline_->engine(), cfg);
-  auto decisions = a.DecideDay(FleetDay(0), FleetStats(0));
+  DecisionArm a(&pipeline_->engine(), cfg);
+  DecisionArm b(&pipeline_->engine(), cfg);
+  const telemetry::HistoricStats stats = FleetStats(0);
+  auto decisions = a.DecideDay(Context(0, stats));
   ASSERT_TRUE(decisions.ok()) << decisions.status().ToString();
-  auto run = a.RunDay(FleetDay(0), FleetStats(0));
-  auto replay = b.ReplayDay(FleetDay(0), FleetStats(0), *decisions);
+  auto run = a.RunDay(Context(0, stats));
+  auto replay = b.ReplayDay(Context(0, stats), *decisions);
   ASSERT_TRUE(run.ok());
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(FleetDayReportJson(*run, 0), FleetDayReportJson(*replay, 0));
@@ -178,7 +196,7 @@ TEST_F(FleetShardFixture, ShardMergeByteIdenticalCacheOff) {
 }
 
 TEST_F(FleetShardFixture, ShardSideReplayByteIdenticalToUnsharded) {
-  // v2 embedded reports: shards replay their own days and the merge is pure
+  // Embedded reports: shards replay their own days and the merge is pure
   // report concatenation — it must still be byte-for-byte the unsharded run.
   FleetConfig cfg;
   const std::string expected = SequentialReports(cfg, /*budgeted=*/false);
@@ -190,52 +208,35 @@ TEST_F(FleetShardFixture, ShardSideReplayByteIdenticalToUnsharded) {
 }
 
 TEST_F(FleetShardFixture, BlobWithReportsRoundTripIsIdentity) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  auto decisions = driver.DecideDay(FleetDay(1), FleetStats(1));
-  ASSERT_TRUE(decisions.ok());
-  auto report = driver.ReplayDay(FleetDay(1), FleetStats(1), *decisions);
-  ASSERT_TRUE(report.ok());
-  std::map<int, FleetDayDecisions> days;
-  days.emplace(1, std::move(*decisions));
-  std::map<int, FleetDayReport> reports;
-  reports.emplace(1, *report);
-  FleetShardHeader header{1, 2, kFleetDays, pipeline_->bundle()->checksum()};
-  auto text = SerializeFleetShard(header, days, &reports);
+  FleetShardBlob blob;
+  blob.header = FleetShardHeader{1, 2, kFleetDays, {Checksum()}};
+  blob.days[1].push_back(DecideAndReplay(FleetConfig{}, 1));
+  auto text = SerializeFleetShard(blob);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   auto parsed = ParseFleetShard(*text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->reports.size(), 1u);
+  ASSERT_EQ(parsed->days.size(), 1u);
+  ASSERT_EQ(parsed->days.at(1).size(), 1u);
+  ASSERT_TRUE(parsed->days.at(1)[0].report.has_value());
   // The reconstructed report renders to the same canonical JSON (outcome
   // cut bitsets are rebuilt from the decision records, not re-serialized).
-  EXPECT_EQ(FleetDayReportJson(*report, 1),
-            FleetDayReportJson(parsed->reports.at(1), 1));
-  auto text2 = SerializeFleetShard(parsed->header, parsed->days, &parsed->reports);
+  EXPECT_EQ(FleetDayReportJson(*blob.days.at(1)[0].report, 1),
+            FleetDayReportJson(*parsed->days.at(1)[0].report, 1));
+  auto text2 = SerializeFleetShard(*parsed);
   ASSERT_TRUE(text2.ok());
   EXPECT_EQ(*text, *text2);
 }
 
 TEST_F(FleetShardFixture, SerializeRejectsInconsistentReports) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  auto decisions = driver.DecideDay(FleetDay(0), FleetStats(0));
-  ASSERT_TRUE(decisions.ok());
-  auto report = driver.ReplayDay(FleetDay(0), FleetStats(0), *decisions);
-  ASSERT_TRUE(report.ok());
-  std::map<int, FleetDayDecisions> days;
-  days.emplace(0, std::move(*decisions));
-  FleetShardHeader header{0, 2, kFleetDays, 0};
-  {
-    std::map<int, FleetDayReport> reports;  // report for a day not in `days`
-    reports.emplace(2, *report);
-    EXPECT_FALSE(SerializeFleetShard(header, days, &reports).ok());
-  }
-  {
-    std::map<int, FleetDayReport> reports;  // outcome count disagrees
-    FleetDayReport truncated = *report;
-    ASSERT_FALSE(truncated.outcomes.empty());
-    truncated.outcomes.pop_back();
-    reports.emplace(0, truncated);
-    EXPECT_FALSE(SerializeFleetShard(header, days, &reports).ok());
-  }
+  FleetShardBlob blob;
+  blob.header = FleetShardHeader{0, 2, kFleetDays, {0}};
+  blob.days[0].push_back(DecideAndReplay(FleetConfig{}, 0));
+  ASSERT_TRUE(SerializeFleetShard(blob).ok());
+  // The embedded report's outcome count disagrees with the decisions.
+  ShardArmDay& arm = blob.days.at(0)[0];
+  ASSERT_FALSE(arm.report->outcomes.empty());
+  arm.report->outcomes.pop_back();
+  EXPECT_FALSE(SerializeFleetShard(blob).ok());
 }
 
 TEST_F(FleetShardFixture, ShardMergeByteIdenticalCacheOn) {
@@ -279,195 +280,176 @@ TEST_F(FleetShardFixture, ShardMergeByteIdenticalBudgeted) {
 }
 
 TEST_F(FleetShardFixture, BlobTextRoundTripIsIdentity) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  auto decisions = driver.DecideDay(FleetDay(1), FleetStats(1));
-  ASSERT_TRUE(decisions.ok());
-  std::map<int, FleetDayDecisions> days;
-  days.emplace(1, std::move(*decisions));
-  FleetShardHeader header{1, 2, kFleetDays, pipeline_->bundle()->checksum()};
-  auto text = SerializeFleetShard(header, days);
+  FleetShardBlob blob;
+  blob.header = FleetShardHeader{1, 2, kFleetDays, {Checksum()}};
+  blob.days[1].push_back(ShardArmDay{Decide(FleetConfig{}, 1), std::nullopt});
+  auto text = SerializeFleetShard(blob);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(text->rfind("phoebe_shard 4\n", 0), 0u);
   auto parsed = ParseFleetShard(*text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  auto text2 = SerializeFleetShard(parsed->header, parsed->days);
+  EXPECT_EQ(parsed->header.arm_checksums, blob.header.arm_checksums);
+  EXPECT_FALSE(parsed->days.at(1)[0].report.has_value());
+  auto text2 = SerializeFleetShard(*parsed);
   ASSERT_TRUE(text2.ok());
   EXPECT_EQ(*text, *text2);
 }
 
 TEST_F(FleetShardFixture, SerializeRejectsForeignDays) {
-  FleetDayDecisions empty_day;
-  std::map<int, FleetDayDecisions> days;
-  days.emplace(0, empty_day);  // day 0 belongs to shard 0, not 1
-  FleetShardHeader header{1, 2, kFleetDays, 0};
-  EXPECT_FALSE(SerializeFleetShard(header, days).ok());
-  days.clear();
-  days.emplace(kFleetDays + 3, empty_day);  // outside the day range
-  FleetShardHeader header0{0, 1, kFleetDays, 0};
-  EXPECT_FALSE(SerializeFleetShard(header0, days).ok());
+  FleetShardBlob blob;
+  blob.header = FleetShardHeader{1, 2, kFleetDays, {0}};
+  blob.days[0].emplace_back();  // day 0 belongs to shard 0, not 1
+  EXPECT_FALSE(SerializeFleetShard(blob).ok());
+  blob.header = FleetShardHeader{0, 1, kFleetDays, {0}};
+  blob.days.clear();
+  blob.days[kFleetDays + 3].emplace_back();  // outside the day range
+  EXPECT_FALSE(SerializeFleetShard(blob).ok());
+  // Every day carries exactly the header's arms, and a blob has >= 1 arm.
+  blob.days.clear();
+  blob.days[0].resize(2);
+  EXPECT_FALSE(SerializeFleetShard(blob).ok());
+  blob.days[0].resize(1);
+  EXPECT_TRUE(SerializeFleetShard(blob).ok());
+  blob.header.arm_checksums.clear();
+  blob.days.clear();
+  EXPECT_FALSE(SerializeFleetShard(blob).ok());
 }
 
 TEST_F(FleetShardFixture, CombineValidatesShardSet) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  const uint32_t checksum = pipeline_->bundle()->checksum();
-  auto make_blob = [&](int index, int count) {
-    std::map<int, FleetDayDecisions> days;
-    for (int d = 0; d < kFleetDays; ++d) {
-      if (!ShardOwnsDay(d, index, count)) continue;
-      auto decisions = driver.DecideDay(FleetDay(d), FleetStats(d));
-      decisions.status().Check();
-      days.emplace(d, std::move(*decisions));
-    }
-    FleetShardHeader header{index, count, kFleetDays, checksum};
-    auto text = SerializeFleetShard(header, days);
-    text.status().Check();
-    auto parsed = ParseFleetShard(*text);
-    parsed.status().Check();
-    return std::move(*parsed);
-  };
-
-  FleetShardBlob b0 = make_blob(0, 2);
-  FleetShardBlob b1 = make_blob(1, 2);
+  const uint32_t checksum = Checksum();
+  FleetShardBlob b0 = ShardBlob(0, 2, {FleetConfig{}});
+  FleetShardBlob b1 = ShardBlob(1, 2, {FleetConfig{}});
 
   // Complete set merges and covers every day.
-  auto ok = CombineFleetShards({b0, b1}, checksum);
+  auto ok = CombineFleetShards({b0, b1}, {checksum});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->days.size(), static_cast<size_t>(kFleetDays));
-  EXPECT_TRUE(ok->reports.empty());  // decide-only shards embed no reports
+  EXPECT_EQ(ok->size(), static_cast<size_t>(kFleetDays));
+  for (const auto& [day, arms] : *ok) {
+    ASSERT_EQ(arms.size(), 1u) << "day " << day;
+    EXPECT_FALSE(arms[0].report.has_value());  // decide-only shards
+  }
 
   // Missing shard, duplicate shard, and wrong bundle all refuse.
-  EXPECT_FALSE(CombineFleetShards({b0}, checksum).ok());
-  EXPECT_FALSE(CombineFleetShards({b0, b0}, checksum).ok());
-  EXPECT_FALSE(CombineFleetShards({b0, b1}, checksum + 1).ok());
-  EXPECT_FALSE(CombineFleetShards({}, checksum).ok());
+  EXPECT_FALSE(CombineFleetShards({b0}, {checksum}).ok());
+  EXPECT_FALSE(CombineFleetShards({b0, b0}, {checksum}).ok());
+  EXPECT_FALSE(CombineFleetShards({b0, b1}, {checksum + 1}).ok());
+  EXPECT_FALSE(CombineFleetShards({}, {checksum}).ok());
+}
+
+TEST_F(FleetShardFixture, CombineRejectsMismatchedArms) {
+  // A two-arm run's blobs, arm 1 decided under a different bundle: the merge
+  // must check every arm's checksum and the arm count, not just arm 0's.
+  const uint32_t a = Checksum();
+  const uint32_t b = a ^ 0x5a5a5a5au;
+  std::vector<FleetShardBlob> blobs{ShardBlob(0, 2, {FleetConfig{}, FleetConfig{}}),
+                                    ShardBlob(1, 2, {FleetConfig{}, FleetConfig{}})};
+  for (FleetShardBlob& blob : blobs) blob.header.arm_checksums[1] = b;
+
+  auto ok = CombineFleetShards(blobs, {a, b});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  for (const auto& [day, arms] : *ok) EXPECT_EQ(arms.size(), 2u) << "day " << day;
+
+  auto wrong_arm1 = CombineFleetShards(blobs, {a, a});
+  ASSERT_FALSE(wrong_arm1.ok());
+  EXPECT_NE(wrong_arm1.status().message().find("arm 1"), std::string::npos)
+      << wrong_arm1.status().ToString();
+  // An extra arm in the blobs (a two-arm blob merged into a one-arm run) and
+  // a missing one (merged into a three-arm run) refuse too.
+  EXPECT_FALSE(CombineFleetShards(blobs, {a}).ok());
+  EXPECT_FALSE(CombineFleetShards(blobs, {a, b, b}).ok());
 }
 
 TEST_F(FleetShardFixture, ParseRejectsMalformedBlobs) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  auto decisions = driver.DecideDay(FleetDay(0), FleetStats(0));
-  ASSERT_TRUE(decisions.ok());
-  std::map<int, FleetDayDecisions> days;
-  days.emplace(0, std::move(*decisions));
-  FleetShardHeader header{0, 2, kFleetDays, 0x1234u};
-  auto text = SerializeFleetShard(header, days);
+  FleetShardBlob blob;
+  blob.header = FleetShardHeader{0, 2, kFleetDays, {0x1234u, 0x5678u}};
+  blob.days[0].push_back(ShardArmDay{Decide(FleetConfig{}, 0), std::nullopt});
+  blob.days[0].push_back(ShardArmDay{FleetDayDecisions{}, std::nullopt});
+  auto text = SerializeFleetShard(blob);
   ASSERT_TRUE(text.ok());
+  ASSERT_TRUE(ParseFleetShard(*text).ok());
+  auto replace = [&](const std::string& from, const std::string& to) {
+    std::string t = *text;
+    size_t at = t.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) t.replace(at, from.size(), to);
+    return t;
+  };
 
   EXPECT_FALSE(ParseFleetShard("").ok());
   EXPECT_FALSE(ParseFleetShard("garbage\n").ok());
   EXPECT_FALSE(ParseFleetShard(text->substr(0, text->size() / 2)).ok());
   EXPECT_FALSE(ParseFleetShard(text->substr(0, text->size() - 1)).ok());
   EXPECT_FALSE(ParseFleetShard(*text + "junk\n").ok());
-  {
-    std::string t = *text;  // unknown future version must be rejected
-    t.replace(t.find(" 2\n"), 3, " 4\n");
-    EXPECT_FALSE(ParseFleetShard(t).ok());
+  // Only the current version parses: older and future versions are refused.
+  for (const char* version : {" 1\n", " 2\n", " 3\n", " 5\n"}) {
+    auto other = ParseFleetShard(replace(" 4\n", version));
+    ASSERT_FALSE(other.ok()) << version;
+    EXPECT_NE(other.status().message().find("unsupported shard blob version"),
+              std::string::npos)
+        << other.status().ToString();
   }
-  {
-    // A version-3 header over a body with no arm sections is fine (v3 is a
-    // strict superset), but an arm section inside a v2 blob is malformed —
-    // the same downgrade rule v1 applies to report sections.
-    std::string t = *text;
-    t.replace(t.find(" 2\n"), 3, " 3\n");
-    auto v3 = ParseFleetShard(t);
-    ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-    EXPECT_TRUE(v3->arm_days.empty());
-    std::string with_arm = *text;
-    size_t end_day = with_arm.find("end_day\n");
-    ASSERT_NE(end_day, std::string::npos);
-    with_arm.insert(end_day, "arm 1 jobs 0\nend_arm\n");
-    EXPECT_FALSE(ParseFleetShard(with_arm).ok());
-  }
-  {
-    // A version-1 blob is this same body minus report sections (this one has
-    // none) under the old header — it must keep parsing.
-    std::string t = *text;
-    t.replace(t.find(" 2\n"), 3, " 1\n");
-    auto v1 = ParseFleetShard(t);
-    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-    EXPECT_TRUE(v1->reports.empty());
-    // ...but a report section inside a version-1 blob is malformed.
-    std::string with_report = t;
-    size_t end_day = with_report.find("end_day\n");
-    ASSERT_NE(end_day, std::string::npos);
-    with_report.insert(end_day,
-                       "report 0 0 0 0 0 0 0 0 0 0\n");
-    EXPECT_FALSE(ParseFleetShard(with_report).ok());
-  }
+  // The header's arm count must match its checksum list.
+  EXPECT_FALSE(ParseFleetShard(replace(" arms 2 ", " arms 3 ")).ok());
+  EXPECT_FALSE(ParseFleetShard(replace(" arms 2 ", " arms 1 ")).ok());
+  EXPECT_FALSE(ParseFleetShard(replace(" arms 2 ", " arms 0 ")).ok());
+  EXPECT_FALSE(ParseFleetShard(replace(" 00005678", " 0000567g")).ok());
+  // Each day holds exactly one section per arm, in order.
+  EXPECT_FALSE(ParseFleetShard(replace("arm 1 jobs 0\n", "arm 2 jobs 0\n")).ok());
+  EXPECT_FALSE(ParseFleetShard(replace("arm 1 jobs 0\nend_arm\n", "")).ok());
+  EXPECT_FALSE(ParseFleetShard(replace("arm 1 jobs 0\n", "arm 1 jobs 1\n")).ok());
+  EXPECT_FALSE(
+      ParseFleetShard(replace("end_day\n", "arm 2 jobs 0\nend_arm\nend_day\n")).ok());
+  EXPECT_FALSE(ParseFleetShard(replace("end_arm\nend_day\n", "end_day\n")).ok());
 }
 
-TEST_F(FleetShardFixture, ArmSectionsRoundTripAsVersion3) {
-  // An A/B shard: arm 0 (default config) is the day record, arm 1 (two cuts
-  // per job) rides in a v3 arm section with its own embedded report.
+TEST_F(FleetShardFixture, ArmSectionsRoundTrip) {
+  // An A/B shard: arm 0 (default config) and arm 1 (two cuts per job), each
+  // with its own embedded report — every arm is the same kind of record.
   FleetConfig cfg0;
   FleetConfig cfg1;
   cfg1.num_cuts = 2;
-  FleetDriver arm0(&pipeline_->engine(), cfg0);
-  FleetDriver arm1(&pipeline_->engine(), cfg1);
-  std::map<int, FleetDayDecisions> days;
-  std::map<int, std::map<int, FleetDayDecisions>> arm_days;
-  std::map<int, std::map<int, FleetDayReport>> arm_reports;
+  FleetShardBlob blob;
+  blob.header = FleetShardHeader{0, 1, kFleetDays, {0xabcd1234u, 0x0badf00du}};
   for (int d = 0; d < kFleetDays; ++d) {
-    auto d0 = arm0.DecideDay(FleetDay(d), FleetStats(d));
-    auto d1 = arm1.DecideDay(FleetDay(d), FleetStats(d));
-    d0.status().Check();
-    d1.status().Check();
-    // Unbudgeted + cache-off, so the shard may replay its own days.
-    FleetDriver replay1(&pipeline_->engine(), cfg1);
-    auto r1 = replay1.ReplayDay(FleetDay(d), FleetStats(d), *d1);
-    r1.status().Check();
-    days.emplace(d, std::move(*d0));
-    arm_days[d].emplace(1, std::move(*d1));
-    arm_reports[d].emplace(1, std::move(*r1));
+    blob.days[d].push_back(DecideAndReplay(cfg0, d));
+    blob.days[d].push_back(DecideAndReplay(cfg1, d));
   }
-  FleetShardHeader header{0, 1, kFleetDays, 0xabcd1234u};
-  auto text = SerializeFleetShard(header, days, nullptr, &arm_days, &arm_reports);
+  auto text = SerializeFleetShard(blob);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_EQ(text->rfind("phoebe_shard 3\n", 0), 0u);
 
   auto parsed = ParseFleetShard(*text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->days.size(), days.size());
-  ASSERT_EQ(parsed->arm_days.size(), arm_days.size());
-  ASSERT_EQ(parsed->arm_reports.size(), arm_reports.size());
-  // Re-serializing the parsed blob reproduces the text byte for byte.
-  auto again = SerializeFleetShard(parsed->header, parsed->days, nullptr,
-                                   &parsed->arm_days, &parsed->arm_reports);
+  EXPECT_EQ(parsed->header.arm_checksums, blob.header.arm_checksums);
+  ASSERT_EQ(parsed->days.size(), blob.days.size());
+  // Re-serializing the parsed blob reproduces the text byte for byte, and
+  // every arm's report round-trips to the canonical JSON byte for byte.
+  auto again = SerializeFleetShard(*parsed);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(*again, *text);
-  // And the arm reports round-trip to the canonical JSON byte for byte.
-  for (const auto& [d, arms] : arm_reports) {
-    EXPECT_EQ(FleetDayReportJson(parsed->arm_reports.at(d).at(1), d),
-              FleetDayReportJson(arms.at(1), d));
+  for (const auto& [d, arms] : blob.days) {
+    ASSERT_EQ(parsed->days.at(d).size(), 2u);
+    for (size_t k = 0; k < arms.size(); ++k) {
+      EXPECT_EQ(FleetDayReportJson(*parsed->days.at(d)[k].report, d),
+                FleetDayReportJson(*arms[k].report, d));
+    }
   }
 
-  // The combine carries arm sections through to the merged maps.
-  std::vector<FleetShardBlob> blobs;
-  blobs.push_back(std::move(*parsed));
-  auto merged = CombineFleetShards(blobs, 0xabcd1234u);
+  // The combine carries every arm through to the merged map.
+  auto merged = CombineFleetShards({*parsed}, blob.header.arm_checksums);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged->arm_days.size(), arm_days.size());
-  EXPECT_EQ(merged->arm_reports.size(), arm_reports.size());
-
-  // Serializer-side validation: arm index 0 and job-count mismatches are
-  // structural errors, not silently written.
-  std::map<int, std::map<int, FleetDayDecisions>> bad_arm;
-  bad_arm[0].emplace(0, days.at(0));
-  EXPECT_FALSE(SerializeFleetShard(header, days, nullptr, &bad_arm).ok());
-  std::map<int, std::map<int, FleetDayDecisions>> short_arm;
-  short_arm[0].emplace(1, FleetDayDecisions{});
-  EXPECT_FALSE(SerializeFleetShard(header, days, nullptr, &short_arm).ok());
+  EXPECT_EQ(merged->size(), blob.days.size());
+  EXPECT_EQ(merged->at(0).size(), 2u);
 }
 
 TEST_F(FleetShardFixture, ReplayRejectsMismatchedDecisions) {
-  FleetConfig cfg;
-  FleetDriver driver(&pipeline_->engine(), cfg);
-  auto decisions = driver.DecideDay(FleetDay(0), FleetStats(0));
-  ASSERT_TRUE(decisions.ok());
-  FleetDayDecisions truncated = *decisions;
+  DecisionArm arm(&pipeline_->engine(), FleetConfig{});
+  const telemetry::HistoricStats stats = FleetStats(0);
+  FleetDayDecisions truncated = Decide(FleetConfig{}, 0);
   ASSERT_FALSE(truncated.decisions.empty());
   truncated.decisions.pop_back();
-  EXPECT_FALSE(driver.ReplayDay(FleetDay(0), FleetStats(0), truncated).ok());
+  EXPECT_FALSE(arm.ReplayDay(Context(0, stats), truncated).ok());
   FleetDayDecisions empty;
-  EXPECT_FALSE(driver.ReplayDay(FleetDay(0), FleetStats(0), empty).ok());
+  EXPECT_FALSE(arm.ReplayDay(Context(0, stats), empty).ok());
 }
 
 }  // namespace

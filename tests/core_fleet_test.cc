@@ -37,8 +37,8 @@ telemetry::WorkloadRepository* FleetFixture::repo_ = nullptr;
 PhoebePipeline* FleetFixture::pipeline_ = nullptr;
 
 TEST_F(FleetFixture, UnbudgetedAdmitsEveryCut) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  auto report = driver.RunDay(repo_->Day(5), repo_->StatsBefore(5));
+  DecisionArm driver(&pipeline_->engine(), FleetConfig{});
+  auto report = driver.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5)));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->outcomes.size(), repo_->Day(5).size());
   EXPECT_EQ(report->jobs_admitted, report->jobs_with_cut);
@@ -51,21 +51,22 @@ TEST_F(FleetFixture, UnbudgetedAdmitsEveryCut) {
 TEST_F(FleetFixture, BudgetRequiresCalibration) {
   FleetConfig cfg;
   cfg.storage_budget_bytes = 1e12;
-  FleetDriver driver(&pipeline_->engine(), cfg);
-  EXPECT_FALSE(driver.RunDay(repo_->Day(5), repo_->StatsBefore(5)).ok());
+  DecisionArm driver(&pipeline_->engine(), cfg);
+  EXPECT_FALSE(driver.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5))).ok());
 }
 
 TEST_F(FleetFixture, BudgetIsRespectedAndSelective) {
   // Unbudgeted baseline for comparison.
-  FleetDriver open_driver(&pipeline_->engine(), FleetConfig{});
-  auto open = open_driver.RunDay(repo_->Day(5), repo_->StatsBefore(5));
+  DecisionArm open_driver(&pipeline_->engine(), FleetConfig{});
+  auto open = open_driver.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5)));
   ASSERT_TRUE(open.ok());
 
   FleetConfig cfg;
   cfg.storage_budget_bytes = 0.3 * open->storage_used_bytes;
-  FleetDriver driver(&pipeline_->engine(), cfg);
-  ASSERT_TRUE(driver.Calibrate(repo_->Day(4), repo_->StatsBefore(4)).ok());
-  auto report = driver.RunDay(repo_->Day(5), repo_->StatsBefore(5));
+  DecisionArm driver(&pipeline_->engine(), cfg);
+  ASSERT_TRUE(
+      driver.Calibrate(DayContext(-1, repo_->Day(4), repo_->StatsBefore(4))).ok());
+  auto report = driver.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5)));
   ASSERT_TRUE(report.ok());
 
   EXPECT_LE(report->storage_used_bytes, cfg.storage_budget_bytes + 1e-6);
@@ -80,9 +81,9 @@ TEST_F(FleetFixture, BudgetIsRespectedAndSelective) {
 }
 
 TEST_F(FleetFixture, AdmittedCutsAlignWithJobs) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
+  DecisionArm driver(&pipeline_->engine(), FleetConfig{});
   const auto& jobs = repo_->Day(5);
-  auto report = driver.RunDay(jobs, repo_->StatsBefore(5));
+  auto report = driver.RunDay(DayContext(5, jobs, repo_->StatsBefore(5)));
   ASSERT_TRUE(report.ok());
   auto cuts = report->AdmittedCuts();
   ASSERT_EQ(cuts.size(), jobs.size());
@@ -98,15 +99,15 @@ TEST_F(FleetFixture, AdmittedCutsAlignWithJobs) {
 TEST_F(FleetFixture, RecoveryObjectiveRuns) {
   FleetConfig cfg;
   cfg.objective = Objective::kRecovery;
-  FleetDriver driver(&pipeline_->engine(), cfg);
-  auto report = driver.RunDay(repo_->Day(5), repo_->StatsBefore(5));
+  DecisionArm driver(&pipeline_->engine(), cfg);
+  auto report = driver.RunDay(DayContext(5, repo_->Day(5), repo_->StatsBefore(5)));
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->jobs_with_cut, 0);
 }
 
 TEST_F(FleetFixture, CalibrationRejectsEmptyHistory) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  EXPECT_FALSE(driver.Calibrate({}, repo_->StatsBefore(4)).ok());
+  DecisionArm driver(&pipeline_->engine(), FleetConfig{});
+  EXPECT_FALSE(driver.Calibrate(DayContext(-1, {}, repo_->StatsBefore(4))).ok());
 }
 
 }  // namespace

@@ -165,9 +165,9 @@ PhoebePipeline* MultiCutFleetFixture::pipeline_ = nullptr;
 TEST_F(MultiCutFleetFixture, DriverReportsDpObjectiveAndPhysicalRealizedValue) {
   FleetConfig cfg;
   cfg.num_cuts = 3;
-  FleetDriver driver(&pipeline_->engine(), cfg);
+  DecisionArm driver(&pipeline_->engine(), cfg);
   const auto& jobs = repo_->Day(5);
-  auto report = driver.RunDay(jobs, repo_->StatsBefore(5));
+  auto report = driver.RunDay(DayContext(5, jobs, repo_->StatsBefore(5)));
   ASSERT_TRUE(report.ok());
 
   int multi = 0;
@@ -198,9 +198,9 @@ TEST_F(MultiCutFleetFixture, DriverReportsDpObjectiveAndPhysicalRealizedValue) {
 TEST_F(MultiCutFleetFixture, StorageCountsEachStageOnce) {
   FleetConfig cfg;
   cfg.num_cuts = 3;
-  FleetDriver driver(&pipeline_->engine(), cfg);
+  DecisionArm driver(&pipeline_->engine(), cfg);
   const auto& jobs = repo_->Day(5);
-  auto report = driver.RunDay(jobs, repo_->StatsBefore(5));
+  auto report = driver.RunDay(DayContext(5, jobs, repo_->StatsBefore(5)));
   ASSERT_TRUE(report.ok());
 
   int checked = 0;

@@ -88,13 +88,16 @@ class ScenarioDeterminismFixture : public ::testing::Test {
       cfg.template_cache.enabled = true;
       cfg.template_cache.capacity = 128;  // exact mode: byte-neutral
     }
-    FleetDriver driver(&pipeline_->engine(), cfg);
+    DecisionArm driver(&pipeline_->engine(), cfg);
+    auto context = [&repo](int d, const telemetry::HistoricStats& stats) {
+      return DayContext(d, repo.Day(kTrainDays + d), stats);
+    };
 
     std::string out;
     if (shard_count == 1) {
       for (int d = 0; d < kFleetDays; ++d) {
-        auto report = driver.RunDay(repo.Day(kTrainDays + d),
-                                    repo.StatsBefore(kTrainDays + d));
+        const telemetry::HistoricStats stats = repo.StatsBefore(kTrainDays + d);
+        auto report = driver.RunDay(context(d, stats));
         report.status().Check();
         out += NormalizedReportJson(*report, d);
       }
@@ -104,29 +107,28 @@ class ScenarioDeterminismFixture : public ::testing::Test {
     const uint32_t checksum = pipeline_->bundle()->checksum();
     std::vector<FleetShardBlob> blobs;
     for (int s = 0; s < shard_count; ++s) {
-      // Fresh driver per shard, exactly like an independent process.
-      FleetDriver shard_driver(&pipeline_->engine(), cfg);
-      std::map<int, FleetDayDecisions> days;
+      // Fresh arm per shard, exactly like an independent process.
+      DecisionArm shard_driver(&pipeline_->engine(), cfg);
+      FleetShardBlob blob;
+      blob.header = FleetShardHeader{s, shard_count, kFleetDays, {checksum}};
       for (int d = 0; d < kFleetDays; ++d) {
         if (!ShardOwnsDay(d, s, shard_count)) continue;
-        auto decisions = shard_driver.DecideDay(repo.Day(kTrainDays + d),
-                                                repo.StatsBefore(kTrainDays + d));
+        const telemetry::HistoricStats stats = repo.StatsBefore(kTrainDays + d);
+        auto decisions = shard_driver.DecideDay(context(d, stats));
         decisions.status().Check();
-        days.emplace(d, std::move(*decisions));
+        blob.days[d].push_back(ShardArmDay{std::move(*decisions), std::nullopt});
       }
-      FleetShardHeader header{s, shard_count, kFleetDays, checksum};
-      auto text = SerializeFleetShard(header, days, nullptr);
+      auto text = SerializeFleetShard(blob);
       text.status().Check();
       auto parsed = ParseFleetShard(*text);  // round-trip through the file form
       parsed.status().Check();
       blobs.push_back(std::move(*parsed));
     }
-    auto merged = CombineFleetShards(blobs, checksum);
+    auto merged = CombineFleetShards(blobs, {checksum});
     merged.status().Check();
     for (int d = 0; d < kFleetDays; ++d) {
-      auto report = driver.ReplayDay(repo.Day(kTrainDays + d),
-                                     repo.StatsBefore(kTrainDays + d),
-                                     merged->days.at(d));
+      const telemetry::HistoricStats stats = repo.StatsBefore(kTrainDays + d);
+      auto report = driver.ReplayDay(context(d, stats), merged->at(d)[0].decisions);
       report.status().Check();
       out += NormalizedReportJson(*report, d);
     }

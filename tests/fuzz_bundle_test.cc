@@ -126,53 +126,43 @@ TEST(FuzzShardBlobCorpusTest, FilesNeverCrashAndValidSeedsParse) {
   auto files = CorpusFiles(".blob");
   ASSERT_FALSE(files.empty()) << "no .blob seeds in " << PHOEBE_FUZZ_CORPUS_DIR;
   for (const auto& p : files) {
+    const std::string name = p.filename().string();
     const std::string text = ReadFileOrDie(p);
     Status st = ParseShardBlob(text);  // must return, never crash
-    if (p.filename().string().find("_valid") != std::string::npos) {
+    if (name.find("_valid") != std::string::npos) {
       EXPECT_TRUE(st.ok()) << p << ": " << st.ToString();
     } else {
       EXPECT_FALSE(st.ok()) << p << " unexpectedly parsed";
+    }
+    if (name.find("old_version") != std::string::npos) {
+      // A blob from an older format version is refused by its version line,
+      // not by whatever body line it trips over first.
+      EXPECT_NE(st.message().find("unsupported shard blob version"),
+                std::string::npos)
+          << p << ": " << st.ToString();
     }
   }
 }
 
 TEST(FuzzShardBlobCorpusTest, ValidSeedsRoundTrip) {
-  // The checked-in v1 seed pins backward compatibility: it must keep
-  // parsing (with no embedded reports), and its body must reserialize
-  // byte-identically under the serializer's arm-free version header (2 —
-  // the serializer stamps the lowest version that can express the blob).
-  // The v2 seed must round-trip exactly, embedded report sections included;
-  // the v3 seed must round-trip exactly, per-arm sections included.
+  // Every valid seed must reserialize byte-identically, arm sections and
+  // embedded report sections included.
   for (const auto& p : CorpusFiles(".blob")) {
-    const std::string name = p.filename().string();
-    if (name.find("_valid") == std::string::npos) continue;
+    if (p.filename().string().find("_valid") == std::string::npos) continue;
     const std::string text = ReadFileOrDie(p);
     auto blob = core::ParseFleetShard(text);
     ASSERT_TRUE(blob.ok()) << p << ": " << blob.status().ToString();
-    auto text2 = core::SerializeFleetShard(
-        blob->header, blob->days, blob->reports.empty() ? nullptr : &blob->reports,
-        blob->arm_days.empty() ? nullptr : &blob->arm_days,
-        blob->arm_reports.empty() ? nullptr : &blob->arm_reports);
+    EXPECT_GE(blob->header.arm_checksums.size(), 2u) << p;
+    auto text2 = core::SerializeFleetShard(*blob);
     ASSERT_TRUE(text2.ok()) << p;
-    if (name.find("v1") != std::string::npos) {
-      EXPECT_TRUE(blob->reports.empty()) << p;
-      std::string upgraded = text;
-      upgraded.replace(upgraded.find(" 1\n"), 3, " 2\n");
-      EXPECT_EQ(*text2, upgraded) << p << " body does not round-trip";
-    } else if (name.find("v3") != std::string::npos) {
-      EXPECT_FALSE(blob->arm_days.empty()) << p;
-      EXPECT_EQ(*text2, text) << p << " does not round-trip";
-    } else {
-      EXPECT_FALSE(blob->reports.empty()) << p;
-      EXPECT_EQ(*text2, text) << p << " does not round-trip";
-    }
+    EXPECT_EQ(*text2, text) << p << " does not round-trip";
   }
 }
 
 TEST(FuzzBundleTest, ShardBlobParserSurvivesCorruption) {
   // The shard blob is the other cross-process artifact; same total contract.
-  // Seeds: a freshly serialized v2 blob plus the checked-in corpus files
-  // (including the v1 seed, so mutations exercise the compat path too).
+  // Seeds: a freshly serialized one-arm blob plus the checked-in corpus
+  // files (including the old-version seed).
   core::FleetDayDecisions day;
   day.decisions.resize(3);
   core::FleetDecision d;
@@ -181,10 +171,10 @@ TEST(FuzzBundleTest, ShardBlobParserSurvivesCorruption) {
   d.combined.cut.before_cut = {true, true, false, false};
   d.cuts.push_back(d.combined.cut);
   day.decisions[1].emplace(std::move(d));
-  std::map<int, core::FleetDayDecisions> days;
-  days.emplace(0, std::move(day));
-  core::FleetShardHeader header{0, 2, 4, 0xdeadbeefu};
-  auto blob = core::SerializeFleetShard(header, days);
+  core::FleetShardBlob fresh;
+  fresh.header = core::FleetShardHeader{0, 2, 4, {0xdeadbeefu}};
+  fresh.days[0].push_back(core::ShardArmDay{std::move(day), std::nullopt});
+  auto blob = core::SerializeFleetShard(fresh);
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
 
   std::vector<std::string> seeds{*blob};

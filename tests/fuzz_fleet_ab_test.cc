@@ -1,18 +1,16 @@
-// Corruption fuzzing of the paired A/B report parser and the v3 shard-blob
+// Corruption fuzzing of the paired A/B report parser and the shard-blob
 // per-arm sections. Both are cross-process artifacts (the report is the A/B
-// harness's output contract, the v3 sections ship every arm's decide phase
+// harness's output contract, the arm sections ship every arm's decide phase
 // between shard processes), so their parsers must return a clean error
 // Status for ANY byte sequence — truncations, bit flips, count tampering,
 // header damage — and never crash or trip a sanitizer. The checked-in
 // corpus pins one valid paired report (format drift that breaks old reports
-// is caught), a single-character regression the parser must reject, and one
-// valid v3 blob with an arm section.
+// is caught) and a single-character regression the parser must reject.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,27 +89,34 @@ std::string FreshAbReportText() {
   return core::SerializeAbReport({day});
 }
 
-/// A freshly serialized v3 blob: one day of regular records plus an arm-1
-/// section over the same job count.
-std::string FreshV3BlobText() {
-  core::FleetDayDecisions day;
-  day.decisions.resize(3);
+/// A freshly serialized three-arm blob: arm 1 flips one decision against
+/// arm 0, and arm 2 carries an embedded report.
+std::string FreshMultiArmBlobText() {
+  core::FleetDayDecisions arm0;
+  arm0.decisions.resize(3);
   core::FleetDecision d;
   d.combined.objective = 123.5;
   d.combined.global_bytes = 42.0;
   d.combined.cut.before_cut = {true, true, false, false};
   d.cuts.push_back(d.combined.cut);
-  day.decisions[1].emplace(d);
-  core::FleetDayDecisions arm1 = day;
+  arm0.decisions[1].emplace(d);
+  core::FleetDayDecisions arm1 = arm0;
   arm1.decisions[2].emplace(d);
-  std::map<int, core::FleetDayDecisions> days;
-  days.emplace(0, std::move(day));
-  std::map<int, std::map<int, core::FleetDayDecisions>> arm_days;
-  arm_days[0].emplace(1, std::move(arm1));
-  core::FleetShardHeader header{0, 1, 1, 0xdeadbeefu};
-  auto blob = core::SerializeFleetShard(header, days, nullptr, &arm_days);
-  blob.status().Check();
-  return *blob;
+  core::FleetDayReport report;
+  report.jobs_considered = 1;
+  report.jobs_with_cut = 1;
+  report.jobs_admitted = 1;
+  report.outcomes.resize(3);
+  report.outcomes[1].admitted = true;
+  report.outcomes[1].global_bytes = 42.0;
+  core::FleetShardBlob blob;
+  blob.header = core::FleetShardHeader{0, 1, 1, {0xdeadbeefu, 0xdeadbeefu, 0x0badf00du}};
+  blob.days[0] = {core::ShardArmDay{arm0, std::nullopt},
+                  core::ShardArmDay{arm1, std::nullopt},
+                  core::ShardArmDay{arm0, report}};
+  auto text = core::SerializeFleetShard(blob);
+  text.status().Check();
+  return *text;
 }
 
 TEST(FuzzAbReportCorpusTest, FilesNeverCrashAndValidSeedsParse) {
@@ -159,16 +164,16 @@ TEST(FuzzAbReportTest, ParserSurvivesCorruption) {
   EXPECT_GT(report.rejected, 0) << report.Describe();
 }
 
-TEST(FuzzAbReportTest, V3ArmSectionParserSurvivesCorruption) {
-  // Mutations seeded from arm-carrying blobs drive the parser's v3 section
-  // loop (arm headers, per-arm job records, end_arm framing) — the
-  // .blob-wide fuzz in fuzz_bundle_test mostly mutates v1/v2 bodies.
-  const std::string fresh = FreshV3BlobText();
+TEST(FuzzAbReportTest, ArmSectionParserSurvivesCorruption) {
+  // Mutations seeded from multi-arm blobs drive the parser's section loop
+  // (arm headers, per-arm job records, embedded reports, end_arm framing)
+  // across more than one arm per day.
+  const std::string fresh = FreshMultiArmBlobText();
   ASSERT_TRUE(ParseShardBlob(fresh).ok()) << ParseShardBlob(fresh).ToString();
 
   std::vector<std::string> seeds{fresh};
   for (const auto& p : CorpusFiles(".blob")) {
-    if (p.filename().string().find("v3") != std::string::npos) {
+    if (p.filename().string().find("_valid") != std::string::npos) {
       seeds.push_back(ReadFileOrDie(p));
     }
   }

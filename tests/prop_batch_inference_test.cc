@@ -179,8 +179,8 @@ class BatchCacheFleetFixture : public ::testing::Test {
   }
 
   static core::FleetDayReport Run(core::FleetConfig cfg) {
-    core::FleetDriver driver(&pipeline_->engine(), cfg);
-    auto report = driver.RunDay(*day_, *stats_);
+    core::DecisionArm driver(&pipeline_->engine(), cfg);
+    auto report = driver.RunDay(core::DayContext(4, *day_, *stats_));
     report.status().Check();
     return *std::move(report);
   }

@@ -202,6 +202,33 @@ TEST(MilpTest, MinimizationDirection) {
   EXPECT_NEAR(sol->objective, 2.0, 1e-6);
 }
 
+TEST(NodeSelectionTest, BestFirstMatchesDepthFirstOptimum) {
+  Rng rng(31);
+  for (int trial = 0; trial < 10; ++trial) {
+    int n = static_cast<int>(rng.UniformInt(4, 10));
+    Model m;
+    LinearExpr w, v;
+    for (int i = 0; i < n; ++i) {
+      int var = m.AddBinary();
+      w.Add(var, rng.Uniform(1, 10));
+      v.Add(var, rng.Uniform(1, 20));
+    }
+    m.AddConstraint(std::move(w), Sense::kLe, rng.Uniform(5, 25));
+    m.SetObjective(std::move(v), true);
+
+    MilpOptions dfs;
+    MilpOptions bfs;
+    bfs.node_selection = NodeSelection::kBestFirst;
+    auto a = SolveMilp(m, dfs);
+    auto b = SolveMilp(m, bfs);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_NEAR(a->objective, b->objective, 1e-6);
+    EXPECT_TRUE(a->optimal);
+    EXPECT_TRUE(b->optimal);
+  }
+}
+
 // Property: MILP matches brute force on random binary knapsacks.
 class KnapsackPropertyTest : public ::testing::TestWithParam<int> {};
 

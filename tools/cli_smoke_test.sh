@@ -167,8 +167,30 @@ expect_exit 0 "fleet merge" -- \
   --bundle "$WORKDIR/model.phoebe" \
   --merge "$WORKDIR/shard0.blob,$WORKDIR/shard1.blob" \
   --report "$WORKDIR/report_merged.jsonl"
+expect_stdout_contains "fleet merge" "(concatenated shard reports)"
 if ! diff -q "$WORKDIR/report_unsharded.jsonl" "$WORKDIR/report_merged.jsonl" >/dev/null; then
   fail "fleet: merged shard report differs from unsharded report"
+fi
+
+# Budgeted, cached runs carry no shard-side reports: the merge replays the
+# admission knapsack and the template cache serially, and must still
+# reproduce the unsharded report byte for byte.
+FLEET_REPLAY=(fleet "${SMALL[@]}" --train-days 2 --days 2
+  --bundle "$WORKDIR/model.phoebe" --budget-gb 50 --template-cache 64)
+expect_exit 0 "fleet budgeted cached unsharded" -- \
+  "$CLI" "${FLEET_REPLAY[@]}" --report "$WORKDIR/report_replay_unsharded.jsonl"
+for s in 0 1; do
+  expect_exit 0 "fleet budgeted cached shard $s/2" -- \
+    "$CLI" "${FLEET_REPLAY[@]}" --shard "$s/2" --out "$WORKDIR/replay_shard$s.blob"
+done
+expect_exit 0 "fleet budgeted cached merge" -- \
+  "$CLI" "${FLEET_REPLAY[@]}" \
+  --merge "$WORKDIR/replay_shard0.blob,$WORKDIR/replay_shard1.blob" \
+  --report "$WORKDIR/report_replay_merged.jsonl"
+expect_stdout_contains "fleet budgeted cached merge" "(merged from shards)"
+if ! diff -q "$WORKDIR/report_replay_unsharded.jsonl" \
+             "$WORKDIR/report_replay_merged.jsonl" >/dev/null; then
+  fail "fleet: replayed budgeted+cached merge differs from unsharded report"
 fi
 
 # telemetry export: --metrics writes per-day lines plus a cumulative 'run'
@@ -239,9 +261,9 @@ if ! diff -q "$WORKDIR/ab_paired.txt" "$WORKDIR/ab_paired_t2.txt" >/dev/null; th
   fail "fleet-ab: threaded paired report differs from serial"
 fi
 
-# fleet-ab shard/merge: per-arm decide phases ship in v3 blobs (regular day
-# records for arm 0, `arm` sections for the rest); the merge must reproduce
-# the unsharded paired report byte for byte.
+# fleet-ab shard/merge: every arm's decide phase ships as one `arm` section
+# per day in the blob; the merge must reproduce the unsharded paired report
+# byte for byte.
 expect_exit 0 "fleet-ab shard 0/2" -- \
   "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
   --bundle "$WORKDIR/model.phoebe" --arm name=twocut,cuts=2 \
@@ -250,8 +272,8 @@ expect_exit 0 "fleet-ab shard 1/2" -- \
   "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
   --bundle "$WORKDIR/model.phoebe" --arm name=twocut,cuts=2 \
   --shard 1/2 --out "$WORKDIR/ab_shard1.blob"
-if ! head -1 "$WORKDIR/ab_shard0.blob" | grep -q "phoebe_shard 3"; then
-  fail "fleet-ab: shard blob with per-arm sections is not version 3"
+if ! head -1 "$WORKDIR/ab_shard0.blob" | grep -q "phoebe_shard 4"; then
+  fail "fleet-ab: shard blob is not version 4"
 fi
 expect_exit 0 "fleet-ab merge" -- \
   "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
@@ -261,6 +283,36 @@ expect_exit 0 "fleet-ab merge" -- \
 if ! diff -q "$WORKDIR/ab_paired.txt" "$WORKDIR/ab_paired_merged.txt" >/dev/null; then
   fail "fleet-ab: merged paired report differs from unsharded"
 fi
+
+# The merge checks every arm's bundle checksum and the arm count, not just
+# arm 0's: blobs decided under bundles A,B must not merge into an A,A run,
+# and a three-arm blob must not merge into a two-arm run or into `fleet`.
+expect_exit 0 "train second bundle" -- \
+  "$CLI" train "${SMALL[@]}" --train-days 3 --out "$WORKDIR/model_b.phoebe"
+for s in 0 1; do
+  expect_exit 0 "fleet-ab shard $s/2 under bundles A,B" -- \
+    "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
+    --bundle "$WORKDIR/model.phoebe" --bundle "$WORKDIR/model_b.phoebe" \
+    --shard "$s/2" --out "$WORKDIR/ab_b_shard$s.blob"
+done
+expect_exit 1 "fleet-ab merge under another arm-1 bundle" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
+  --bundle "$WORKDIR/model.phoebe" --bundle "$WORKDIR/model.phoebe" \
+  --merge "$WORKDIR/ab_b_shard0.blob,$WORKDIR/ab_b_shard1.blob"
+expect_stderr_contains "fleet-ab merge under another arm-1 bundle" "arm 1 was decided under bundle"
+expect_exit 0 "fleet-ab three-arm shard" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
+  --bundle "$WORKDIR/model.phoebe" --arm name=twocut,cuts=2 --arm name=threecut,cuts=3 \
+  --shard 0/1 --out "$WORKDIR/ab_three_arms.blob"
+expect_exit 1 "fleet-ab merge of a three-arm blob" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
+  --bundle "$WORKDIR/model.phoebe" --arm name=twocut,cuts=2 \
+  --merge "$WORKDIR/ab_three_arms.blob"
+expect_stderr_contains "fleet-ab merge of a three-arm blob" "carries 3 arm(s)"
+expect_exit 1 "fleet merge of a three-arm blob" -- \
+  "$CLI" fleet "${SMALL[@]}" --train-days 2 --days 2 \
+  --bundle "$WORKDIR/model.phoebe" --merge "$WORKDIR/ab_three_arms.blob"
+expect_stderr_contains "fleet merge of a three-arm blob" "carries 3 arm(s)"
 
 # scenario layer: --scenario baseline is the identity (byte-identical to the
 # default run), a hostile preset runs end to end, and a bad value fails

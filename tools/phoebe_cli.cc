@@ -17,7 +17,7 @@
 //              decide the same generated days — scenario arms over their own
 //              per-arm workload; emits the paired per-day comparison report,
 //              with --shard/--merge splitting the run across processes via
-//              v3 per-arm shard sections
+//              per-arm shard-blob sections
 //   lifecycle  simulated-production continuous-operation loop: daily
 //              telemetry, drift-aware retraining, canary backtest promotion,
 //              optional shadow diffing; artifacts (promotion.log, bundles,
@@ -511,11 +511,9 @@ int CmdSaveModels(int argc, char** argv) {
   return 0;
 }
 
-int CmdFleet(int argc, char** argv) {
-  ArgParser p("phoebe_cli fleet",
-              "Day-level fleet driver: parallel decisions, budget admission, "
-              "shard/merge, optional telemetry export.");
-  AddTrainFlags(p);
+/// The day-loop flags `fleet` and `fleet-ab` share: the FleetConfig,
+/// telemetry export, and the shard/merge split.
+void AddFleetFlags(ArgParser& p) {
   p.AddInt("days", 1, "number of fleet days to run");
   p.AddInt("threads", 1, "decision threads (0 = all cores; reports are "
            "byte-identical for any value)");
@@ -526,7 +524,6 @@ int CmdFleet(int argc, char** argv) {
            "(0 = disabled)");
   p.AddInt("cache-bps", 0, "cache input-size drift tolerance in basis points "
            "(0 = exact, byte-neutral)");
-  p.AddString("report", "", "write per-day JSON report lines to this file");
   p.AddString("metrics", "", "write per-day telemetry JSON lines (and a final "
               "cumulative 'run' line) to this file");
   p.AddString("shard", "", "I/N decide-only mode: decide days d with d%N==I "
@@ -534,181 +531,246 @@ int CmdFleet(int argc, char** argv) {
   p.AddString("out", "", "output blob path for --shard");
   p.AddString("merge", "", "comma-separated shard blobs to replay into "
               "byte-identical reports");
-  int code;
-  if (!ParseOrReport(p, argc, argv, &code)) return code;
+}
 
-  auto objective = ParseObjective(p.GetString("objective"));
-  if (!objective.ok()) {
-    std::fprintf(stderr, "%s\n", objective.status().ToString().c_str());
-    return 2;
-  }
-
-  // Telemetry is opt-in and strictly passive: the registry only exists when
-  // --metrics names an output file, and a null registry compiles the whole
-  // instrumented path down to no-ops.
-  obs::MetricsConfig metrics_cfg;
-  metrics_cfg.output_path = p.GetString("metrics");
-  metrics_cfg.enabled = !metrics_cfg.output_path.empty();
-  if (Status st = metrics_cfg.Validate(); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::ofstream metrics_file;
-  if (metrics_cfg.enabled) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    metrics_file.open(metrics_cfg.output_path, std::ios::binary);
-    if (!metrics_file) {
-      std::fprintf(stderr, "cannot open '%s'\n", metrics_cfg.output_path.c_str());
-      return 1;
-    }
-  }
-
-  const int num_days = std::max(1, p.GetInt("days"));
-  Trained t = TrainFromArgs(p, num_days);
-
+/// The FleetConfig the shared fleet flags describe (metrics left unset).
+Result<core::FleetConfig> FleetConfigFromFlags(const ArgParser& p) {
   core::FleetConfig cfg;
-  cfg.objective = *objective;
+  PHOEBE_ASSIGN_OR_RETURN(cfg.objective, ParseObjective(p.GetString("objective")));
   cfg.num_cuts = std::max(1, p.GetInt("num-cuts"));
   cfg.num_threads = p.GetInt("threads");
-  cfg.metrics = registry.get();
-  double budget_gb = p.GetDouble("budget-gb");
+  const double budget_gb = p.GetDouble("budget-gb");
   if (budget_gb > 0.0) cfg.storage_budget_bytes = budget_gb * 1e9;
-
   // --template-cache N enables the recurring-template decision cache with
   // capacity N; --cache-bps sets the input-size drift tolerance (0 = exact).
-  int cache_capacity = p.GetInt("template-cache");
+  const int cache_capacity = p.GetInt("template-cache");
   if (cache_capacity > 0) {
     cfg.template_cache.enabled = true;
     cfg.template_cache.capacity = static_cast<size_t>(cache_capacity);
     cfg.template_cache.quantize_bps = std::max(0, p.GetInt("cache-bps"));
   }
   if (Status st = cfg.Validate(); !st.ok()) {
-    std::fprintf(stderr, "invalid fleet configuration: %s\n", st.ToString().c_str());
-    return 2;
+    return Status::InvalidArgument("invalid fleet configuration: " + st.message());
   }
+  return cfg;
+}
+
+/// --metrics: the registry and its output file. Telemetry is opt-in and
+/// strictly passive: the registry only exists when the flag names a file,
+/// and a null registry compiles the instrumented path down to no-ops.
+struct MetricsOutput {
+  obs::MetricsConfig config;
+  std::unique_ptr<obs::MetricsRegistry> registry;
+  std::ofstream file;
+
+  /// Open the --metrics file, if any; false after printing the error.
+  bool Open(const std::string& path) {
+    config.output_path = path;
+    config.enabled = !path.empty();
+    if (!config.enabled) return true;
+    registry = std::make_unique<obs::MetricsRegistry>();
+    file.open(path, std::ios::binary);
+    if (!file) std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+    return static_cast<bool>(file);
+  }
+  /// One per-day line: the telemetry recorded since `before`.
+  void DayLine(const obs::MetricsSnapshot& before, int day) {
+    if (!registry) return;
+    file << obs::TelemetryLineJson(obs::SnapshotDelta(before, registry->Snapshot()),
+                                   "day", day)
+         << "\n";
+  }
+  /// The cumulative 'run' line last: whole-run totals including merge and
+  /// calibration work that falls outside any single day window.
+  void RunLine() {
+    if (!registry) return;
+    file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
+  }
+};
+
+/// `--shard I/N` + `--out`: the slice of the day range this process decides
+/// (day d belongs to shard d % N) and where its blob goes. `index` is -1
+/// when --shard is absent.
+struct ShardTarget {
+  int index = -1;
+  int count = 0;
+  std::string out;
+};
+
+Result<ShardTarget> ParseShardTarget(const ArgParser& p) {
+  ShardTarget target;
+  const std::string shard = p.GetString("shard");
+  if (shard.empty()) return target;
+  std::vector<std::string> parts = Split(shard, '/');
+  int32_t index = -1, count = 0;
+  if (parts.size() != 2 || !ParseInt32(parts[0], &index).ok() ||
+      !ParseInt32(parts[1], &count).ok() || count < 1 || index < 0 || index >= count) {
+    return Status::InvalidArgument(
+        StrFormat("--shard expects I/N with 0 <= I < N, got '%s'", shard.c_str()));
+  }
+  target.index = index;
+  target.count = count;
+  target.out = p.GetString("out");
+  if (target.out.empty()) return Status::InvalidArgument("--shard requires --out <file>");
+  return target;
+}
+
+/// Write a shard process's blob; returns the exit code.
+int WriteShardBlob(const core::FleetShardBlob& blob, const std::string& out) {
+  auto text = core::SerializeFleetShard(blob);
+  text.status().Check();
+  std::ofstream f(out, std::ios::binary);
+  if (!f) {
+    std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
+    return 1;
+  }
+  f << *text;
+  std::fprintf(stderr, "shard %d/%d: wrote %zu of %d day(s) x %zu arm(s) to %s\n",
+               blob.header.shard_index, blob.header.shard_count, blob.days.size(),
+               blob.header.num_days, blob.header.arm_checksums.size(), out.c_str());
+  return 0;
+}
+
+/// --merge f1,f2,...: read and parse every blob, check they cover the run's
+/// `num_days`, and combine them under the run's per-arm bundle checksums.
+/// On failure prints the error, sets *code, and returns false.
+bool ReadMergedShards(const std::string& merge, int num_days,
+                      const std::vector<uint32_t>& arm_checksums,
+                      std::map<int, std::vector<core::ShardArmDay>>* merged,
+                      int* code) {
+  std::vector<core::FleetShardBlob> blobs;
+  for (const std::string& path : Split(merge, ',')) {
+    std::ifstream f(path, std::ios::binary);
+    if (!f) {
+      std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+      *code = 1;
+      return false;
+    }
+    std::string text((std::istreambuf_iterator<char>(f)),
+                     std::istreambuf_iterator<char>());
+    auto blob = core::ParseFleetShard(text);
+    if (!blob.ok()) {
+      std::fprintf(stderr, "parse error in '%s': %s\n", path.c_str(),
+                   blob.status().ToString().c_str());
+      *code = 1;
+      return false;
+    }
+    blobs.push_back(std::move(*blob));
+  }
+  if (blobs.front().header.num_days != num_days) {
+    std::fprintf(stderr, "shard blobs cover %d day(s); pass --days %d\n",
+                 blobs.front().header.num_days, blobs.front().header.num_days);
+    *code = 2;
+    return false;
+  }
+  auto combined = core::CombineFleetShards(blobs, arm_checksums);
+  if (!combined.ok()) {
+    std::fprintf(stderr, "cannot merge shard blobs: %s\n",
+                 combined.status().ToString().c_str());
+    *code = 1;
+    return false;
+  }
+  *merged = std::move(*combined);
+  return true;
+}
+
+int CmdFleet(int argc, char** argv) {
+  ArgParser p("phoebe_cli fleet",
+              "Day-level fleet driver: parallel decisions, budget admission, "
+              "shard/merge, optional telemetry export.");
+  AddTrainFlags(p);
+  AddFleetFlags(p);
+  p.AddString("report", "", "write per-day JSON report lines to this file");
+  int code;
+  if (!ParseOrReport(p, argc, argv, &code)) return code;
+
+  Result<core::FleetConfig> cfg = FleetConfigFromFlags(p);
+  Result<ShardTarget> shard = ParseShardTarget(p);
+  for (const Status& st : {cfg.status(), shard.status()}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 2;
+    }
+  }
+  MetricsOutput metrics;
+  if (!metrics.Open(p.GetString("metrics"))) return 1;
+  cfg->metrics = metrics.registry.get();
+  const double budget_gb = p.GetDouble("budget-gb");
+
+  const int num_days = std::max(1, p.GetInt("days"));
+  Trained t = TrainFromArgs(p, num_days);
+  const uint32_t checksum = t.phoebe.bundle()->checksum();
 
   // With --metrics, decide through a metrics-aware engine view over the same
   // immutable bundle; decisions are identical either way (the engine is a
   // const reader), so reports stay byte-identical with telemetry on.
   std::unique_ptr<core::DecisionEngine> metric_engine;
   const core::DecisionEngine* engine = &t.phoebe.engine();
-  if (registry) {
-    metric_engine =
-        std::make_unique<core::DecisionEngine>(t.phoebe.bundle(), registry.get());
+  if (metrics.registry) {
+    metric_engine = std::make_unique<core::DecisionEngine>(t.phoebe.bundle(),
+                                                           metrics.registry.get());
     engine = metric_engine.get();
   }
-  core::FleetDriver driver(engine, cfg);
+  core::DecisionArm arm(engine, *cfg);
+  auto context = [&t](int day, const telemetry::HistoricStats& stats) {
+    return core::DayContext(day, t.repo.Day(t.train_days + day), stats);
+  };
+  // Unbudgeted + cache-off runs have no cross-day state, so each day's
+  // report is independent of every other day: a shard can replay its own
+  // days and embed the finished reports, and the merge degenerates to
+  // report concatenation. Budgeted or cached runs replay at merge time —
+  // admission and the cache are serial.
+  const bool independent_days = budget_gb <= 0.0 && !cfg->template_cache.enabled;
 
   // --shard I/N: decide-only mode. Compute raw decisions for the days this
-  // shard owns (day d belongs to shard d % N) and write one blob; a later
-  // `fleet --merge` run replays all blobs into the canonical report stream.
-  // No calibration, no admission, no cache — those are merge-time concerns.
-  std::string shard = p.GetString("shard");
-  if (!shard.empty()) {
-    std::vector<std::string> parts = Split(shard, '/');
-    int32_t index = -1, count = 0;
-    if (parts.size() != 2 || !ParseInt32(parts[0], &index).ok() ||
-        !ParseInt32(parts[1], &count).ok() || count < 1 || index < 0 || index >= count) {
-      std::fprintf(stderr, "--shard expects I/N with 0 <= I < N, got '%s'\n",
-                   shard.c_str());
-      return 2;
-    }
-    std::string out = p.GetString("out");
-    if (out.empty()) {
-      std::fprintf(stderr, "fleet --shard requires --out <file>\n");
-      return 2;
-    }
-    core::FleetShardHeader header{index, count, num_days,
-                                  t.phoebe.bundle()->checksum()};
-    // Unbudgeted + cache-off runs have no cross-day state, so each shard can
-    // replay its own days and embed the finished reports (v2 blobs); the
-    // merge then degenerates to report concatenation. Budgeted or cached
-    // runs stay decide-only — admission and the cache are merge-time serial.
-    const bool shard_side_replay = budget_gb <= 0.0 && !cfg.template_cache.enabled;
-    std::map<int, core::FleetDayDecisions> days;
-    std::map<int, core::FleetDayReport> reports;
+  // shard owns and write a one-arm blob; a later `fleet --merge` run replays
+  // all blobs into the canonical report stream.
+  if (shard->index >= 0) {
+    core::FleetShardBlob blob;
+    blob.header = core::FleetShardHeader{shard->index, shard->count, num_days, {checksum}};
     for (int d = 0; d < num_days; ++d) {
-      if (!core::ShardOwnsDay(d, index, count)) continue;
-      const auto& jobs = t.repo.Day(t.train_days + d);
-      auto stats = t.repo.StatsBefore(t.train_days + d);
-      auto decisions = driver.DecideDay(jobs, stats);
+      if (!core::ShardOwnsDay(d, shard->index, shard->count)) continue;
+      const telemetry::HistoricStats stats = t.repo.StatsBefore(t.train_days + d);
+      auto decisions = arm.DecideDay(context(d, stats));
       decisions.status().Check();
-      if (shard_side_replay) {
-        auto report = driver.ReplayDay(jobs, stats, *decisions);
+      core::ShardArmDay day{std::move(*decisions), std::nullopt};
+      if (independent_days) {
+        auto report = arm.ReplayDay(context(d, stats), day.decisions);
         report.status().Check();
-        reports.emplace(d, std::move(*report));
+        day.report = std::move(*report);
       }
-      days.emplace(d, std::move(*decisions));
+      blob.days[d].push_back(std::move(day));
     }
-    auto blob = core::SerializeFleetShard(header, days,
-                                          shard_side_replay ? &reports : nullptr);
-    blob.status().Check();
-    std::ofstream f(out, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
-      return 1;
-    }
-    f << *blob;
-    std::fprintf(stderr, "shard %d/%d: wrote %zu of %d day(s) to %s\n", index,
-                 count, days.size(), num_days, out.c_str());
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
-    }
-    return 0;
+    code = WriteShardBlob(blob, shard->out);
+    metrics.RunLine();
+    return code;
   }
 
   // --merge f1,f2,...: replace the decision phase with the shard blobs'
   // precomputed decisions. The admission knapsack and the template cache
   // replay serially here, so the reports are byte-identical to an unsharded
   // run with this same configuration.
-  std::map<int, core::FleetDayDecisions> merged;
-  std::map<int, core::FleetDayReport> shard_reports;
-  bool replay = false;
-  bool concat_reports = false;  // all days carry embedded shard-side reports
-  std::string merge = p.GetString("merge");
-  if (!merge.empty()) {
-    obs::Histogram* merge_hist =
-        registry ? registry->histogram("fleet.shard.merge.seconds") : nullptr;
-    obs::ScopedTimer merge_timer(merge_hist);
-    std::vector<core::FleetShardBlob> blobs;
-    for (const std::string& path : Split(merge, ',')) {
-      std::ifstream f(path, std::ios::binary);
-      if (!f) {
-        std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-        return 1;
-      }
-      std::string text((std::istreambuf_iterator<char>(f)),
-                       std::istreambuf_iterator<char>());
-      auto blob = core::ParseFleetShard(text);
-      if (!blob.ok()) {
-        std::fprintf(stderr, "parse error in '%s': %s\n", path.c_str(),
-                     blob.status().ToString().c_str());
-        return 1;
-      }
-      blobs.push_back(std::move(*blob));
-    }
-    if (blobs.front().header.num_days != num_days) {
-      std::fprintf(stderr, "shard blobs cover %d day(s); pass --days %d\n",
-                   blobs.front().header.num_days, blobs.front().header.num_days);
-      return 2;
-    }
-    auto m = core::CombineFleetShards(blobs, t.phoebe.bundle()->checksum());
-    m.status().Check();
-    merged = std::move(m->days);
-    shard_reports = std::move(m->reports);
-    replay = true;
-    // Embedded reports are only trusted when this merge's configuration is
-    // the one they are valid for (unbudgeted, cache off) and every day has
-    // one; otherwise fall back to the serial per-day replay.
-    concat_reports = budget_gb <= 0.0 && !cfg.template_cache.enabled &&
-                     static_cast<int>(shard_reports.size()) == num_days;
+  std::map<int, std::vector<core::ShardArmDay>> merged;
+  const std::string merge = p.GetString("merge");
+  const bool replay = !merge.empty();
+  if (replay) {
+    obs::ScopedTimer merge_timer(
+        metrics.registry ? metrics.registry->histogram("fleet.shard.merge.seconds")
+                         : nullptr);
+    if (!ReadMergedShards(merge, num_days, {checksum}, &merged, &code)) return code;
   }
+  // Embedded reports are only trusted when this merge's configuration is
+  // the one they are valid for and every day has one; otherwise fall back
+  // to the serial per-day replay.
+  const bool concat_reports =
+      replay && independent_days &&
+      std::all_of(merged.begin(), merged.end(),
+                  [](const auto& day) { return day.second[0].report.has_value(); });
 
   if (budget_gb > 0.0) {
     // Calibrate the admission threshold on the day before the first test day.
-    driver.Calibrate(t.repo.Day(t.train_days - 1), t.repo.StatsBefore(t.train_days - 1))
-        .Check();
+    const telemetry::HistoricStats stats = t.repo.StatsBefore(t.train_days - 1);
+    arm.Calibrate(core::DayContext(-1, t.repo.Day(t.train_days - 1), stats)).Check();
   }
 
   std::string report_path = p.GetString("report");
@@ -723,18 +785,18 @@ int CmdFleet(int argc, char** argv) {
 
   for (int d = 0; d < num_days; ++d) {
     obs::MetricsSnapshot day_before;
-    if (registry) day_before = registry->Snapshot();
-    const auto& jobs = t.repo.Day(t.train_days + d);
-    auto stats = t.repo.StatsBefore(t.train_days + d);
+    if (metrics.registry) day_before = metrics.registry->Snapshot();
+    const telemetry::HistoricStats stats = t.repo.StatsBefore(t.train_days + d);
+    const core::DayContext ctx = context(d, stats);
     Result<core::FleetDayReport> report =
-        concat_reports ? Result<core::FleetDayReport>(std::move(shard_reports.at(d)))
-        : replay       ? driver.ReplayDay(jobs, stats, merged.at(d))
-                       : driver.RunDay(jobs, stats);
+        concat_reports ? Result<core::FleetDayReport>(std::move(*merged.at(d)[0].report))
+        : replay       ? arm.ReplayDay(ctx, merged.at(d)[0].decisions)
+                       : arm.RunDay(ctx);
     report.status().Check();
 
     std::printf("fleet day %d: %zu jobs, %d threads, %d cut(s)%s%s\n",
-                t.train_days + d, jobs.size(), ThreadPool::Resolve(cfg.num_threads),
-                cfg.num_cuts,
+                t.train_days + d, ctx.jobs->size(), ThreadPool::Resolve(cfg->num_threads),
+                cfg->num_cuts,
                 budget_gb > 0.0 ? StrFormat(", budget %.1f GB", budget_gb).c_str() : "",
                 concat_reports ? " (concatenated shard reports)"
                 : replay       ? " (merged from shards)"
@@ -748,7 +810,7 @@ int CmdFleet(int argc, char** argv) {
     if (report->knapsack_threshold > 0.0) {
       tab.AddRow({"knapsack threshold", StrFormat("%.3g", report->knapsack_threshold)});
     }
-    if (cfg.template_cache.enabled) {
+    if (cfg->template_cache.enabled) {
       tab.AddRow({"cache hits/misses",
                   StrFormat("%lld/%lld", static_cast<long long>(report->cache_hits),
                             static_cast<long long>(report->cache_misses))});
@@ -761,24 +823,17 @@ int CmdFleet(int argc, char** argv) {
     if (report_file.is_open()) {
       report_file << core::FleetDayReportJson(*report, d) << "\n";
     }
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(
-                          obs::SnapshotDelta(day_before, registry->Snapshot()),
-                          "day", d)
-                   << "\n";
-    }
+    metrics.DayLine(day_before, d);
   }
   if (report_file.is_open()) {
     report_file.close();
     std::fprintf(stderr, "wrote %d day report(s) to %s\n", num_days,
                  report_path.c_str());
   }
-  if (registry) {
-    // Cumulative line last: whole-run totals including merge/calibration work
-    // that falls outside any single day window.
-    metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
-    metrics_file.close();
-    std::fprintf(stderr, "wrote telemetry to %s\n", metrics_cfg.output_path.c_str());
+  if (metrics.registry) {
+    metrics.RunLine();
+    metrics.file.close();
+    std::fprintf(stderr, "wrote telemetry to %s\n", metrics.config.output_path.c_str());
   }
   return 0;
 }
@@ -843,7 +898,8 @@ int CmdFleetAb(int argc, char** argv) {
               "--arm config variants) decide the same generated days over one "
               "shared context. Arm 0 is the baseline every delta is measured "
               "against; each arm's day report is byte-identical to a "
-              "standalone `fleet` run under that arm's engine and config.");
+              "standalone `fleet` run under that arm's engine and config. "
+              "Telemetry names carry a per-arm ab.arm<k>. prefix.");
   AddWorkloadFlags(p);
   p.AddInt("train-days", 5, "days of history to train on");
   p.AddInt("test-days", 1, "held-out days generated after training");
@@ -854,46 +910,26 @@ int CmdFleetAb(int argc, char** argv) {
                   "(e.g. name=twocut,cuts=2 or name=storm,scenario=flash-crowd; "
                   "a scenario arm decides its own workload, so it reports "
                   "cost/saving deltas but no decision flips)");
-  p.AddInt("days", 1, "number of fleet days to run");
-  p.AddInt("threads", 1, "decision threads (0 = all cores; paired reports are "
-           "byte-identical for any value)");
-  p.AddInt("num-cuts", 1, "checkpoint cuts per job (baseline config)");
-  p.AddDouble("budget-gb", 0.0, "global storage budget in GB (0 = unlimited)");
-  p.AddString("objective", "temp", "optimization objective: temp|recovery");
-  p.AddInt("template-cache", 0, "baseline template cache capacity (0 = off)");
-  p.AddInt("cache-bps", 0, "baseline cache drift tolerance in basis points "
-           "(0 = exact, byte-neutral)");
+  AddFleetFlags(p);
   p.AddString("report", "", "write the paired A/B report text to this file");
   p.AddString("arm-reports", "", "write each arm's per-day JSON report lines "
               "to <prefix><k>.jsonl (arm 0's file is byte-identical to a "
               "standalone `fleet --report` under the same config)");
-  p.AddString("metrics", "", "write telemetry JSON lines to this file "
-              "(per-arm names under ab.arm<k>.)");
-  p.AddString("shard", "", "I/N decide-only mode: write one v3 blob with "
-              "per-arm sections to --out");
-  p.AddString("out", "", "output blob path for --shard");
-  p.AddString("merge", "", "comma-separated v3 shard blobs to replay into "
-              "byte-identical paired reports");
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
 
-  auto objective = ParseObjective(p.GetString("objective"));
-  if (!objective.ok()) {
-    std::fprintf(stderr, "%s\n", objective.status().ToString().c_str());
-    return 2;
-  }
-
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::ofstream metrics_file;
-  const std::string metrics_path = p.GetString("metrics");
-  if (!metrics_path.empty()) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    metrics_file.open(metrics_path, std::ios::binary);
-    if (!metrics_file) {
-      std::fprintf(stderr, "cannot open '%s'\n", metrics_path.c_str());
-      return 1;
+  Result<core::FleetConfig> base_cfg = FleetConfigFromFlags(p);
+  Result<ShardTarget> shard = ParseShardTarget(p);
+  for (const Status& st : {base_cfg.status(), shard.status()}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 2;
     }
   }
+  MetricsOutput metrics;
+  if (!metrics.Open(p.GetString("metrics"))) return 1;
+  obs::MetricsRegistry* registry = metrics.registry.get();
+  const double budget_gb = p.GetDouble("budget-gb");
 
   // Workload + history: the arm-independent half of the day loop, generated
   // exactly once no matter how many arms decide it.
@@ -903,19 +939,6 @@ int CmdFleetAb(int argc, char** argv) {
   const int train_days = p.GetInt("train-days");
   const int total = train_days + std::max({1, p.GetInt("test-days"), num_days});
   for (int d = 0; d < total; ++d) repo.AddDay(d, gen.GenerateDay(d)).Check();
-
-  const double budget_gb = p.GetDouble("budget-gb");
-  core::FleetConfig base_cfg;
-  base_cfg.objective = *objective;
-  base_cfg.num_cuts = std::max(1, p.GetInt("num-cuts"));
-  base_cfg.num_threads = p.GetInt("threads");
-  if (budget_gb > 0.0) base_cfg.storage_budget_bytes = budget_gb * 1e9;
-  int cache_capacity = p.GetInt("template-cache");
-  if (cache_capacity > 0) {
-    base_cfg.template_cache.enabled = true;
-    base_cfg.template_cache.capacity = static_cast<size_t>(cache_capacity);
-    base_cfg.template_cache.quantize_bps = std::max(0, p.GetInt("cache-bps"));
-  }
 
   // Arm plan: one arm per --bundle (arm 0 trains in-process when none are
   // named), then one arm per --arm spec over the arm-0 bundle.
@@ -928,22 +951,22 @@ int CmdFleetAb(int argc, char** argv) {
   std::vector<ArmPlan> plans;
   core::PhoebePipeline trained;
   for (const std::string& path : p.GetStrings("bundle")) {
-    auto bundle = core::PipelineBundle::LoadFromFile(path, registry.get());
+    auto bundle = core::PipelineBundle::LoadFromFile(path, registry);
     if (!bundle.ok()) {
       std::fprintf(stderr, "cannot load '%s': %s\n", path.c_str(),
                    bundle.status().ToString().c_str());
       return 1;
     }
     plans.push_back(
-        {StrFormat("bundle%zu", plans.size()), *bundle, base_cfg, ""});
+        {StrFormat("bundle%zu", plans.size()), *bundle, *base_cfg, ""});
   }
   if (plans.empty()) {
     trained.Train(repo, 0, train_days).Check();
-    plans.push_back({"base", trained.bundle(), base_cfg, ""});
+    plans.push_back({"base", trained.bundle(), *base_cfg, ""});
   }
   for (const std::string& spec : p.GetStrings("arm")) {
     ArmPlan plan{StrFormat("cfg%zu", plans.size()), plans.front().bundle,
-                 base_cfg, ""};
+                 *base_cfg, ""};
     if (Status st = ApplyArmSpec(spec, &plan.cfg, &plan.name, &plan.scenario);
         !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -989,6 +1012,7 @@ int CmdFleetAb(int argc, char** argv) {
   // carry the arm's ab.arm<k>. prefix and never collide.
   std::vector<std::unique_ptr<core::DecisionEngine>> engines;
   std::vector<core::FleetArmSpec> specs;
+  std::vector<uint32_t> arm_checksums;
   for (size_t k = 0; k < plans.size(); ++k) {
     obs::MetricsRegistry* arm_metrics =
         registry ? registry->Namespaced(StrFormat("ab.arm%zu.", k)) : nullptr;
@@ -1000,6 +1024,7 @@ int CmdFleetAb(int argc, char** argv) {
     spec.engine = engines.back().get();
     spec.config = plans[k].cfg;
     spec.bundle_checksum = plans[k].bundle->checksum();
+    arm_checksums.push_back(spec.bundle_checksum);
     specs.push_back(std::move(spec));
   }
   core::FleetAbDriver driver(std::move(specs));
@@ -1022,104 +1047,47 @@ int CmdFleetAb(int argc, char** argv) {
     return in;
   };
 
-  if (budget_gb > 0.0) {
-    DayInputs hist = MakeArmContexts(-1, train_days - 1);
-    driver.Calibrate(hist.ctxs).Check();
-  }
-
-  // --shard I/N: decide-only mode. Arm 0's decisions are the blob's regular
-  // day records; arms 1..n-1 land in v3 per-arm sections, so one blob carries
-  // the whole differential run's decide phase for the days it owns.
-  std::string shard = p.GetString("shard");
-  if (!shard.empty()) {
-    std::vector<std::string> parts = Split(shard, '/');
-    int32_t index = -1, count = 0;
-    if (parts.size() != 2 || !ParseInt32(parts[0], &index).ok() ||
-        !ParseInt32(parts[1], &count).ok() || count < 1 || index < 0 || index >= count) {
-      std::fprintf(stderr, "--shard expects I/N with 0 <= I < N, got '%s'\n",
-                   shard.c_str());
-      return 2;
-    }
-    std::string out = p.GetString("out");
-    if (out.empty()) {
-      std::fprintf(stderr, "fleet-ab --shard requires --out <file>\n");
-      return 2;
-    }
-    core::FleetShardHeader header{index, count, num_days,
-                                  driver.spec(0).bundle_checksum};
-    std::map<int, core::FleetDayDecisions> days;
-    std::map<int, std::map<int, core::FleetDayDecisions>> arm_days;
+  // --shard I/N: decide-only mode. One blob carries every arm's decide
+  // phase for the days this shard owns, one section per arm.
+  if (shard->index >= 0) {
+    core::FleetShardBlob blob;
+    blob.header =
+        core::FleetShardHeader{shard->index, shard->count, num_days, arm_checksums};
     for (int d = 0; d < num_days; ++d) {
-      if (!core::ShardOwnsDay(d, index, count)) continue;
+      if (!core::ShardOwnsDay(d, shard->index, shard->count)) continue;
       DayInputs in = MakeArmContexts(d, train_days + d);
       auto decisions = driver.DecideDay(in.ctxs);
       decisions.status().Check();
-      for (size_t k = 1; k < decisions->size(); ++k) {
-        arm_days[d].emplace(static_cast<int>(k), std::move((*decisions)[k]));
+      for (core::FleetDayDecisions& arm : *decisions) {
+        blob.days[d].push_back(core::ShardArmDay{std::move(arm), std::nullopt});
       }
-      days.emplace(d, std::move(decisions->front()));
     }
-    auto blob = core::SerializeFleetShard(header, days, nullptr,
-                                          arm_days.empty() ? nullptr : &arm_days);
-    blob.status().Check();
-    std::ofstream f(out, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
-      return 1;
-    }
-    f << *blob;
-    std::fprintf(stderr, "shard %d/%d: wrote %zu of %d day(s) x %zu arm(s) to %s\n",
-                 index, count, days.size(), num_days, driver.num_arms(),
-                 out.c_str());
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
-    }
-    return 0;
+    code = WriteShardBlob(blob, shard->out);
+    metrics.RunLine();
+    return code;
   }
 
   // --merge f1,f2,...: replace every arm's decide phase with the blobs'
   // precomputed records; cache + admission replay per arm here, so the paired
   // reports are byte-identical to an unsharded fleet-ab run.
-  std::map<int, core::FleetDayDecisions> merged;
-  std::map<int, std::map<int, core::FleetDayDecisions>> merged_arms;
-  bool replay = false;
-  std::string merge = p.GetString("merge");
-  if (!merge.empty()) {
-    std::vector<core::FleetShardBlob> blobs;
-    for (const std::string& path : Split(merge, ',')) {
-      std::ifstream f(path, std::ios::binary);
-      if (!f) {
-        std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-        return 1;
-      }
-      std::string text((std::istreambuf_iterator<char>(f)),
-                       std::istreambuf_iterator<char>());
-      auto blob = core::ParseFleetShard(text);
-      if (!blob.ok()) {
-        std::fprintf(stderr, "parse error in '%s': %s\n", path.c_str(),
-                     blob.status().ToString().c_str());
-        return 1;
-      }
-      blobs.push_back(std::move(*blob));
-    }
-    if (blobs.front().header.num_days != num_days) {
-      std::fprintf(stderr, "shard blobs cover %d day(s); pass --days %d\n",
-                   blobs.front().header.num_days, blobs.front().header.num_days);
-      return 2;
-    }
-    auto m = core::CombineFleetShards(blobs, driver.spec(0).bundle_checksum);
-    m.status().Check();
-    merged = std::move(m->days);
-    merged_arms = std::move(m->arm_days);
-    replay = true;
+  std::map<int, std::vector<core::ShardArmDay>> merged;
+  const std::string merge = p.GetString("merge");
+  const bool replay = !merge.empty();
+  if (replay && !ReadMergedShards(merge, num_days, arm_checksums, &merged, &code)) {
+    return code;
+  }
+
+  if (budget_gb > 0.0) {
+    DayInputs hist = MakeArmContexts(-1, train_days - 1);
+    driver.Calibrate(hist.ctxs).Check();
   }
 
   std::string report_path = p.GetString("report");
-  std::string arm_reports_prefix = p.GetString("arm-reports");
+  std::string arm_report_prefix = p.GetString("arm-reports");
   std::vector<std::unique_ptr<std::ofstream>> arm_report_files;
-  if (!arm_reports_prefix.empty()) {
+  if (!arm_report_prefix.empty()) {
     for (size_t k = 0; k < driver.num_arms(); ++k) {
-      std::string path = StrFormat("%s%zu.jsonl", arm_reports_prefix.c_str(), k);
+      std::string path = StrFormat("%s%zu.jsonl", arm_report_prefix.c_str(), k);
       auto f = std::make_unique<std::ofstream>(path, std::ios::binary);
       if (!*f) {
         std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
@@ -1137,16 +1105,7 @@ int CmdFleetAb(int argc, char** argv) {
     auto result = [&]() -> Result<core::FleetAbDriver::AbDayResult> {
       if (!replay) return driver.RunDay(in.ctxs);
       std::vector<core::FleetDayDecisions> pre;
-      pre.push_back(std::move(merged.at(d)));
-      auto ait = merged_arms.find(d);
-      for (size_t k = 1; k < driver.num_arms(); ++k) {
-        if (ait == merged_arms.end() ||
-            ait->second.find(static_cast<int>(k)) == ait->second.end()) {
-          return Status::InvalidArgument(StrFormat(
-              "shard blobs carry no arm-%zu section for day %d", k, d));
-        }
-        pre.push_back(std::move(ait->second.at(static_cast<int>(k))));
-      }
+      for (core::ShardArmDay& arm : merged.at(d)) pre.push_back(std::move(arm.decisions));
       return driver.ReplayDay(in.ctxs, pre);
     }();
     result.status().Check();
@@ -1173,12 +1132,7 @@ int CmdFleetAb(int argc, char** argv) {
                            << "\n";
     }
     all_days.push_back(std::move(result->comparison));
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(
-                          obs::SnapshotDelta(day_before, registry->Snapshot()),
-                          "day", d)
-                   << "\n";
-    }
+    metrics.DayLine(day_before, d);
   }
   if (!report_path.empty()) {
     std::ofstream f(report_path, std::ios::binary);
@@ -1192,12 +1146,12 @@ int CmdFleetAb(int argc, char** argv) {
   }
   if (!arm_report_files.empty()) {
     std::fprintf(stderr, "wrote per-arm day reports to %s{0..%zu}.jsonl\n",
-                 arm_reports_prefix.c_str(), driver.num_arms() - 1);
+                 arm_report_prefix.c_str(), driver.num_arms() - 1);
   }
   if (registry) {
-    metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
-    metrics_file.close();
-    std::fprintf(stderr, "wrote telemetry to %s\n", metrics_path.c_str());
+    metrics.RunLine();
+    metrics.file.close();
+    std::fprintf(stderr, "wrote telemetry to %s\n", metrics.config.output_path.c_str());
   }
   return 0;
 }
