@@ -36,8 +36,16 @@ struct IpResult {
 };
 
 /// Solve the temp-data-saving formulation (eq. (15)-(19), or (20)-(26) for
-/// multiple cuts) exactly.
+/// multiple cuts) exactly. The search starts from the sweep heuristic's cut
+/// (OptimizeTempStorage) as its first incumbent.
 Result<IpResult> SolveTempStorageIp(const dag::JobGraph& graph, const StageCosts& costs,
                                     const IpOptions& options = {});
+
+/// The model SolveTempStorageIp solves (scaled units; `options.milp` unused).
+/// Its first `num_cuts * num_stages` variables are the binaries z_u^c, cut
+/// by cut.
+Result<solver::Model> BuildTempStorageModel(const dag::JobGraph& graph,
+                                            const StageCosts& costs,
+                                            const IpOptions& options = {});
 
 }  // namespace phoebe::core

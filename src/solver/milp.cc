@@ -2,7 +2,7 @@
 
 #include <chrono>
 #include <cmath>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -11,12 +11,8 @@ namespace phoebe::solver {
 
 namespace {
 
-using Bounds = std::vector<std::pair<double, double>>;
-
-struct Node {
-  Bounds bounds;
-  double parent_bound;  // LP objective of the parent (for ordering/pruning)
-};
+/// Largest violation a start solution may have.
+constexpr double kStartTol = 1e-7;
 
 /// Index of the most fractional integer variable, or -1 if all integral.
 int MostFractional(const Model& model, const std::vector<double>& x, double tol) {
@@ -36,16 +32,17 @@ int MostFractional(const Model& model, const std::vector<double>& x, double tol)
 
 }  // namespace
 
-Result<Solution> SolveMilp(const Model& model, const MilpOptions& options) {
+Result<Solution> SolveMilp(const Model& model, const MilpOptions& options,
+                           std::span<const double> start) {
   PHOEBE_RETURN_NOT_OK(model.Validate());
-  const auto start = std::chrono::steady_clock::now();
+  const auto clock_start = std::chrono::steady_clock::now();
   auto elapsed = [&]() {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - clock_start)
         .count();
   };
   const double sign = model.maximize() ? 1.0 : -1.0;  // compare in max space
 
-  Bounds root_bounds;
+  std::vector<std::pair<double, double>> root_bounds;
   root_bounds.reserve(model.num_variables());
   for (const Variable& v : model.variables()) {
     // Integer bounds can be tightened to whole numbers up front.
@@ -56,85 +53,98 @@ Result<Solution> SolveMilp(const Model& model, const MilpOptions& options) {
 
   bool have_incumbent = false;
   Solution incumbent;
+  if (!start.empty()) {
+    if (start.size() != model.num_variables()) {
+      return Status::InvalidArgument("start solution needs one value per variable");
+    }
+    const double violation = model.MaxViolation(start);
+    if (violation > kStartTol) {
+      return Status::InvalidArgument(
+          StrFormat("start solution violates the model by %g", violation));
+    }
+    incumbent.values.assign(start.begin(), start.end());
+    incumbent.objective = model.Evaluate(start);
+    have_incumbent = true;
+  }
+  auto pruned = [&](double bound) {
+    return have_incumbent && sign * bound <= sign * incumbent.objective + options.gap_tol;
+  };
+
+  // Depth-first search. `lp` holds the node being solved; its first child
+  // continues in `lp` itself, and the second is saved with a copy of the
+  // parent's solved tableau to re-solve from when the first child's subtree
+  // is done. `stack[0, depth)` are those saved children; entries beyond
+  // `depth` keep their buffers for reuse.
+  struct Pending {
+    Simplex lp;
+    int var;
+    double lo, hi;        // the child's bounds on `var`
+    double parent_bound;  // the parent's LP objective
+  };
+  std::vector<Pending> stack;
+  size_t depth = 0;
+  Simplex lp(model, root_bounds);
+  bool have_node = true;  // the root
+  std::vector<double> x;
   int64_t nodes = 0, pivots = 0;
   bool hit_limit = false;
 
-  // DFS uses the vector as a stack; best-first pops the node with the best
-  // parent LP bound (in maximization space).
-  const bool best_first = options.node_selection == NodeSelection::kBestFirst;
-  std::vector<Node> stack;
-  stack.push_back(Node{std::move(root_bounds), sign * kInfinity});
-
-  auto pop_node = [&]() -> Node {
-    size_t pick = stack.size() - 1;
-    if (best_first) {
-      for (size_t i = 0; i < stack.size(); ++i) {
-        if (sign * stack[i].parent_bound > sign * stack[pick].parent_bound) pick = i;
-      }
-    }
-    Node node = std::move(stack[pick]);
-    stack.erase(stack.begin() + static_cast<long>(pick));
-    return node;
-  };
-
-  while (!stack.empty()) {
+  while (have_node || depth > 0) {
     if (nodes >= options.max_nodes || elapsed() > options.time_limit_seconds) {
       hit_limit = true;
       break;
     }
-    Node node = pop_node();
     ++nodes;
-
-    // Prune by parent bound before paying for the LP.
-    if (have_incumbent &&
-        sign * node.parent_bound <= sign * incumbent.objective + options.gap_tol) {
-      continue;
+    if (!have_node) {
+      Pending& next = stack[--depth];
+      // Prune by parent bound before paying for the LP.
+      if (pruned(next.parent_bound)) continue;
+      std::swap(lp, next.lp);
+      lp.SetBounds(next.var, next.lo, next.hi);
     }
+    have_node = false;
 
-    Result<Solution> lp = SolveLp(model, options.lp, &node.bounds);
-    if (!lp.ok()) {
-      if (lp.status().IsInfeasible()) continue;  // dead branch
-      return lp.status();
+    Status status = lp.Solve(options.lp);
+    pivots += lp.pivots();
+    if (!status.ok()) {
+      if (status.IsInfeasible()) continue;  // dead branch
+      return status;
     }
-    pivots += lp->pivots;
-    if (have_incumbent &&
-        sign * lp->objective <= sign * incumbent.objective + options.gap_tol) {
-      continue;
-    }
+    const double objective = lp.objective();
+    if (pruned(objective)) continue;
 
-    int branch_var = MostFractional(model, lp->values, options.int_tol);
+    lp.Values(&x);
+    const int branch_var = MostFractional(model, x, options.int_tol);
     if (branch_var < 0) {
       // Integer feasible: snap and accept as the new incumbent.
       for (size_t v = 0; v < model.num_variables(); ++v) {
-        if (model.variables()[v].integer) {
-          lp->values[v] = std::round(lp->values[v]);
-        }
+        if (model.variables()[v].integer) x[v] = std::round(x[v]);
       }
-      incumbent = std::move(*lp);
+      incumbent.values = x;
+      incumbent.objective = objective;
       have_incumbent = true;
       continue;
     }
 
-    double x = lp->values[static_cast<size_t>(branch_var)];
-    double floor_hi = std::floor(x);
-    double ceil_lo = floor_hi + 1.0;
-
-    Node down{node.bounds, lp->objective};
-    down.bounds[static_cast<size_t>(branch_var)].second =
-        std::min(down.bounds[static_cast<size_t>(branch_var)].second, floor_hi);
-    Node up{std::move(node.bounds), lp->objective};
-    up.bounds[static_cast<size_t>(branch_var)].first =
-        std::max(up.bounds[static_cast<size_t>(branch_var)].first, ceil_lo);
-
-    // DFS; push the branch nearer the LP value last so it is explored first.
-    double frac = x - floor_hi;
-    if (frac > 0.5) {
-      stack.push_back(std::move(down));
-      stack.push_back(std::move(up));
+    const double floor_hi = std::floor(x[static_cast<size_t>(branch_var)]);
+    const double lo = lp.lower(branch_var), hi = lp.upper(branch_var);
+    std::pair<double, double> first{lo, std::min(hi, floor_hi)};      // down
+    std::pair<double, double> second{std::max(lo, floor_hi + 1.0), hi};  // up
+    // The branch nearer the LP value is explored first.
+    if (x[static_cast<size_t>(branch_var)] - floor_hi > 0.5) std::swap(first, second);
+    if (depth == stack.size()) {
+      stack.push_back(Pending{lp, branch_var, second.first, second.second, objective});
     } else {
-      stack.push_back(std::move(up));
-      stack.push_back(std::move(down));
+      Pending& saved = stack[depth];
+      saved.lp = lp;  // copy-assignment reuses the saved buffers
+      saved.var = branch_var;
+      saved.lo = second.first;
+      saved.hi = second.second;
+      saved.parent_bound = objective;
     }
+    ++depth;
+    lp.SetBounds(branch_var, first.first, first.second);
+    have_node = true;
   }
 
   if (!have_incumbent) {

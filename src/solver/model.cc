@@ -1,7 +1,9 @@
 #include "solver/model.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/macros.h"
 #include "common/strings.h"
 
 namespace phoebe::solver {
@@ -60,6 +62,30 @@ Status Model::Validate() const {
     if (!std::isfinite(c.rhs)) return Status::InvalidArgument("non-finite rhs");
   }
   return check_expr(objective_);
+}
+
+double Model::Evaluate(std::span<const double> x) const {
+  PHOEBE_CHECK(x.size() == variables_.size());
+  double value = 0.0;
+  for (const auto& [var, coeff] : objective_.terms) value += coeff * x[static_cast<size_t>(var)];
+  return value;
+}
+
+double Model::MaxViolation(std::span<const double> x) const {
+  PHOEBE_CHECK(x.size() == variables_.size());
+  double worst = 0.0;
+  for (size_t i = 0; i < variables_.size(); ++i) {
+    const Variable& v = variables_[i];
+    worst = std::max({worst, v.lo - x[i], x[i] - v.hi});
+    if (v.integer) worst = std::max(worst, std::abs(x[i] - std::round(x[i])));
+  }
+  for (const Constraint& c : constraints_) {
+    double lhs = 0.0;
+    for (const auto& [var, coeff] : c.expr.terms) lhs += coeff * x[static_cast<size_t>(var)];
+    if (c.sense != Sense::kGe) worst = std::max(worst, lhs - c.rhs);
+    if (c.sense != Sense::kLe) worst = std::max(worst, c.rhs - lhs);
+  }
+  return worst;
 }
 
 }  // namespace phoebe::solver

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +71,12 @@ class Model {
 
   /// Structural sanity: indices in range, lo <= hi, finite rhs.
   Status Validate() const;
+
+  /// Objective value of `x` (one value per variable).
+  double Evaluate(std::span<const double> x) const;
+  /// Largest amount by which `x` (one value per variable) violates a bound,
+  /// a row, or an integrality requirement; 0 for a feasible point.
+  double MaxViolation(std::span<const double> x) const;
 
  private:
   std::vector<Variable> variables_;

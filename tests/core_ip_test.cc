@@ -87,9 +87,9 @@ TEST(IpTest, MultiCutDominatesSingleCut) {
   auto b = SolveTempStorageIp(t.graph, t.costs, two);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  if (a->optimal && b->optimal) {
-    EXPECT_GE(b->objective, a->objective - 1e-4 * std::max(1.0, a->objective));
-  }
+  ASSERT_TRUE(a->optimal);
+  ASSERT_TRUE(b->optimal);
+  EXPECT_GE(b->objective, a->objective - 1e-4 * std::max(1.0, a->objective));
 }
 
 TEST(IpTest, AlphaReducesGlobalStorage) {

@@ -78,7 +78,7 @@ TEST(PropCheckpointTest, HeuristicNeverExceedsIpBound) {
     }
     return Status::OK();
   };
-  auto report = CheckProperty(IpSizedOptions(60, 0xfeed), prop);
+  auto report = CheckProperty(IpSizedOptions(200, 0xfeed), prop);
   EXPECT_TRUE(report.ok) << report.Describe();
   EXPECT_EQ(report.vacuous_cases, 0) << report.Describe();
 }
@@ -186,8 +186,10 @@ TEST(PropCheckpointTest, DpMatchesBruteForceOverNestedPrefixes) {
   EXPECT_EQ(report.cases_run, testing::ScaledCaseCount(200));
 }
 
-// The multi-cut IP itself must be monotone in the cut budget: an unused
-// second cut (z^1 = z^0) is always feasible.
+// The multi-cut IP itself must be monotone in the cut budget: the 1-cut
+// optimum with an empty inner cut (z^0 = 0) is a feasible 2-cut point.
+// (Repeating the cut, z^1 = z^0, is not: constraint (12) forbids crediting
+// a crossing edge at both cuts.)
 TEST(PropCheckpointTest, MultiCutIpMonotoneInCutBudget) {
   auto prop = [](const JobCase& c) -> Status {
     IpOptions opt;
@@ -208,7 +210,7 @@ TEST(PropCheckpointTest, MultiCutIpMonotoneInCutBudget) {
     }
     return Status::OK();
   };
-  auto report = CheckProperty(IpSizedOptions(40, 0xcafe), prop);
+  auto report = CheckProperty(IpSizedOptions(200, 0xcafe), prop);
   EXPECT_TRUE(report.ok) << report.Describe();
   EXPECT_EQ(report.vacuous_cases, 0) << report.Describe();
 }
