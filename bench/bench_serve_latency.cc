@@ -13,14 +13,11 @@
 // --metrics-out writes the server-side telemetry JSONL (queue depth,
 // batch-size histogram, request latency) from the instrumented runs.
 //
-// Usage: bench_serve_latency [--requests N] [--max-batch B] [--no-coalesce]
-//                            [--metrics-out FILE]
+// Usage: bench_serve_latency [--requests N] [--max-batch B] [--metrics-out FILE]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -29,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/argparse.h"
 #include "common/json.h"
 #include "core/bundle.h"
 #include "obs/metrics.h"
@@ -37,27 +35,6 @@
 
 namespace phoebe::bench {
 namespace {
-
-int ArgInt(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-const char* ArgStr(int argc, char** argv, const char* flag, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool ArgFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 /// Nearest-rank percentile over a sorted latency vector (seconds).
 double Percentile(const std::vector<double>& sorted, double p) {
@@ -159,10 +136,22 @@ SeriesResult RunSeries(serve::ServeServer& server,
 }
 
 int Run(int argc, char** argv) {
-  const int requests_per_thread = ArgInt(argc, argv, "--requests", 400);
-  const int max_batch = ArgInt(argc, argv, "--max-batch", 16);
-  const bool coalesce = !ArgFlag(argc, argv, "--no-coalesce");
-  const std::string metrics_out = ArgStr(argc, argv, "--metrics-out", "");
+  ArgParser args("bench_serve_latency",
+                 "Closed-loop serve clients at 1/2/4 threads, then a hot-reload series.");
+  args.AddInt("requests", 400, "decide requests per client thread");
+  args.AddInt("max-batch", 16, "max requests a worker decides in one batch");
+  args.AddString("metrics-out", "", "write the server-side telemetry JSONL here");
+  if (Status st = args.Parse(argc, argv, 1); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
+  if (args.help_requested()) {
+    std::fputs(args.Help().c_str(), stdout);
+    return 0;
+  }
+  const int requests_per_thread = args.GetInt("requests");
+  const int max_batch = args.GetInt("max-batch");
+  const std::string metrics_out = args.GetString("metrics-out");
 
   std::fprintf(stderr, "training pipeline...\n");
   BenchEnv env = MakeEnv(/*num_templates=*/30, /*train_days=*/3, /*test_days=*/1);
@@ -184,7 +173,6 @@ int Run(int argc, char** argv) {
     serve::ServeConfig cfg;
     cfg.num_workers = threads;
     cfg.max_batch = max_batch;
-    cfg.coalesce = coalesce;
     cfg.bundle_path = bundle_path;
     cfg.metrics = registry.get();
     serve::ServeServer server(*bundle, cfg);
@@ -205,7 +193,6 @@ int Run(int argc, char** argv) {
     serve::ServeConfig cfg;
     cfg.num_workers = thread_counts.back();
     cfg.max_batch = max_batch;
-    cfg.coalesce = coalesce;
     cfg.bundle_path = bundle_path;
     cfg.metrics = registry.get();
     serve::ServeServer server(*bundle, cfg);
@@ -236,7 +223,6 @@ int Run(int argc, char** argv) {
   json.KV("bench", "serve_latency");
   json.KV("requests_per_thread", requests_per_thread);
   json.KV("max_batch", max_batch);
-  json.KV("coalesce", coalesce);
   json.Key("series").BeginArray();
   for (const SeriesResult& r : series) {
     json.BeginObject();

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/macros.h"
+#include "common/strings.h"
 
 namespace phoebe {
 
@@ -92,9 +93,7 @@ JsonWriter& JsonWriter::Value(double v) {
   MaybeComma();
   pending_key_ = false;
   if (std::isfinite(v)) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out_ += buf;
+    AppendDouble(&out_, v);
   } else {
     out_ += "null";  // JSON has no NaN/Inf
   }

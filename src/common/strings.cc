@@ -1,10 +1,8 @@
 #include "common/strings.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace phoebe {
 
@@ -21,6 +19,20 @@ std::vector<std::string> Split(const std::string& s, char sep) {
     start = pos + 1;
   }
   return out;
+}
+
+void SplitInto(std::string_view s, char sep, std::vector<std::string_view>* out) {
+  out->clear();
+  size_t start = 0;
+  while (true) {
+    size_t pos = s.find(sep, start);
+    if (pos == std::string_view::npos) {
+      out->push_back(s.substr(start));
+      return;
+    }
+    out->push_back(s.substr(start, pos - start));
+    start = pos + 1;
+  }
 }
 
 std::string Join(const std::vector<std::string>& pieces, const std::string& sep) {
@@ -53,6 +65,13 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+void AppendDouble(std::string* out, double v) {
+  char buf[32];  // "%.17g" needs at most 24: -d.dddddddddddddddde-ddd
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 17)
+                       .ptr);
+}
+
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
@@ -70,7 +89,7 @@ namespace {
 
 /// Quote a (possibly hostile/binary/huge) token for an error message:
 /// non-printable bytes become '?', long tokens truncate with an ellipsis.
-std::string QuoteToken(const std::string& token) {
+std::string QuoteToken(std::string_view token) {
   constexpr size_t kMax = 32;
   std::string q = "'";
   for (size_t i = 0; i < token.size() && i < kMax; ++i) {
@@ -82,30 +101,32 @@ std::string QuoteToken(const std::string& token) {
   return q;
 }
 
-Status BadToken(const char* what, const std::string& token) {
+Status BadToken(const char* what, std::string_view token) {
   return Status::InvalidArgument(std::string(what) + ": " + QuoteToken(token));
 }
 
 }  // namespace
 
-Status ParseInt64(const std::string& token, int64_t* out) {
+Status ParseInt64(std::string_view token, int64_t* out) {
   if (token.empty()) return Status::InvalidArgument("empty integer token");
-  // strtoll skips leading whitespace; the strict contract forbids it.
-  if (std::isspace(static_cast<unsigned char>(token.front()))) {
-    return BadToken("integer token starts with whitespace", token);
+  // from_chars takes no '+'; accept one (not followed by a second sign).
+  std::string_view digits = token;
+  if (digits.front() == '+') {
+    digits.remove_prefix(1);
+    if (digits.empty() || digits.front() == '-') return BadToken("not an integer", token);
   }
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(token.c_str(), &end, 10);
-  if (errno == ERANGE) return BadToken("integer out of range", token);
-  if (end != token.c_str() + token.size()) {
-    return BadToken("not an integer", token);  // junk or embedded NUL
+  int64_t v = 0;
+  const char* end = digits.data() + digits.size();
+  auto [ptr, ec] = std::from_chars(digits.data(), end, v);
+  if (ec == std::errc::result_out_of_range) return BadToken("integer out of range", token);
+  if (ec != std::errc() || ptr != end) {
+    return BadToken("not an integer", token);  // whitespace, junk or embedded NUL
   }
-  *out = static_cast<int64_t>(v);
+  *out = v;
   return Status::OK();
 }
 
-Status ParseInt32(const std::string& token, int32_t* out) {
+Status ParseInt32(std::string_view token, int32_t* out) {
   int64_t v = 0;
   PHOEBE_RETURN_NOT_OK(ParseInt64(token, &v));
   if (v < INT32_MIN || v > INT32_MAX) {
@@ -115,23 +136,19 @@ Status ParseInt32(const std::string& token, int32_t* out) {
   return Status::OK();
 }
 
-Status ParseFiniteDouble(const std::string& token, double* out) {
+Status ParseFiniteDouble(std::string_view token, double* out) {
   if (token.empty()) return Status::InvalidArgument("empty numeric token");
-  if (std::isspace(static_cast<unsigned char>(token.front()))) {
-    return BadToken("numeric token starts with whitespace", token);
-  }
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return BadToken("not a number", token);
-  if (!std::isfinite(v)) {
-    return BadToken("number is not finite", token);  // ERANGE, inf, nan
-  }
+  double v = 0.0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec == std::errc::result_out_of_range) return BadToken("number out of range", token);
+  if (ec != std::errc() || ptr != end) return BadToken("not a number", token);
+  if (!std::isfinite(v)) return BadToken("number is not finite", token);  // inf, nan
   *out = v;
   return Status::OK();
 }
 
-Status ParseHexU32(const std::string& token, uint32_t* out) {
+Status ParseHexU32(std::string_view token, uint32_t* out) {
   if (token.empty() || token.size() > 8) {
     return BadToken("not an 8-digit-or-less hex token", token);
   }

@@ -26,11 +26,10 @@ namespace {
 // and its stored value, 0 or 1, is read and ignored.
 constexpr const char* kBatchInferenceLine = "1";
 
-void AppendKv(std::string* out, const std::string& key, const std::string& value) {
-  *out += key;
-  *out += ' ';
-  *out += value;
-  *out += '\n';
+/// One `key value` line; a double value goes through AppendDouble.
+template <typename T>
+void AppendKv(std::string* out, const std::string& key, const T& value) {
+  StrAppend(out, key, ' ', value, '\n');
 }
 
 std::string JoinInts(const std::vector<int>& v) {
@@ -44,26 +43,26 @@ std::string JoinInts(const std::vector<int>& v) {
 void AppendGbdt(std::string* out, const std::string& p, const ml::GbdtParams& g) {
   AppendKv(out, p + ".num_trees", StrFormat("%d", g.num_trees));
   AppendKv(out, p + ".num_leaves", StrFormat("%d", g.num_leaves));
-  AppendKv(out, p + ".learning_rate", StrFormat("%.17g", g.learning_rate));
+  AppendKv(out, p + ".learning_rate", g.learning_rate);
   AppendKv(out, p + ".max_bins", StrFormat("%d", g.max_bins));
   AppendKv(out, p + ".min_data_in_leaf", StrFormat("%d", g.min_data_in_leaf));
-  AppendKv(out, p + ".lambda", StrFormat("%.17g", g.lambda));
-  AppendKv(out, p + ".min_gain", StrFormat("%.17g", g.min_gain));
-  AppendKv(out, p + ".subsample", StrFormat("%.17g", g.subsample));
-  AppendKv(out, p + ".feature_fraction", StrFormat("%.17g", g.feature_fraction));
+  AppendKv(out, p + ".lambda", g.lambda);
+  AppendKv(out, p + ".min_gain", g.min_gain);
+  AppendKv(out, p + ".subsample", g.subsample);
+  AppendKv(out, p + ".feature_fraction", g.feature_fraction);
   AppendKv(out, p + ".seed", StrFormat("%lld", static_cast<long long>(g.seed)));
   AppendKv(out, p + ".early_stopping_rounds", StrFormat("%d", g.early_stopping_rounds));
-  AppendKv(out, p + ".validation_fraction", StrFormat("%.17g", g.validation_fraction));
+  AppendKv(out, p + ".validation_fraction", g.validation_fraction);
   AppendKv(out, p + ".objective", StrFormat("%d", static_cast<int>(g.objective)));
-  AppendKv(out, p + ".quantile_alpha", StrFormat("%.17g", g.quantile_alpha));
+  AppendKv(out, p + ".quantile_alpha", g.quantile_alpha);
 }
 
 void AppendMlp(std::string* out, const std::string& p, const ml::MlpParams& m) {
   AppendKv(out, p + ".hidden", JoinInts(m.hidden));
   AppendKv(out, p + ".epochs", StrFormat("%d", m.epochs));
   AppendKv(out, p + ".batch_size", StrFormat("%d", m.batch_size));
-  AppendKv(out, p + ".learning_rate", StrFormat("%.17g", m.learning_rate));
-  AppendKv(out, p + ".weight_decay", StrFormat("%.17g", m.weight_decay));
+  AppendKv(out, p + ".learning_rate", m.learning_rate);
+  AppendKv(out, p + ".weight_decay", m.weight_decay);
   AppendKv(out, p + ".seed", StrFormat("%lld", static_cast<long long>(m.seed)));
   AppendKv(out, p + ".standardize", m.standardize ? "1" : "0");
 }
@@ -83,7 +82,7 @@ void AppendPredictor(std::string* out, const std::string& p, const PredictorConf
 
 std::string SerializeConfig(const PipelineConfig& cfg) {
   std::string out;
-  AppendKv(&out, "delta", StrFormat("%.17g", cfg.delta));
+  AppendKv(&out, "delta", cfg.delta);
   AppendPredictor(&out, "exec", cfg.exec_predictor);
   AppendPredictor(&out, "size", cfg.size_predictor);
   AppendGbdt(&out, "ttl.gbdt", cfg.ttl.gbdt);

@@ -30,7 +30,7 @@
 // strict parsers in common/strings.h, and the checksum gates the payload, so
 // a truncated or corrupted file surfaces as a clean Status error
 // (fuzz_bundle_test pins that contract under ASan/UBSan). Doubles are
-// serialized with %.17g, which round-trips bit-exactly — a loaded bundle
+// serialized with AppendDouble, which round-trips bit-exactly — a loaded bundle
 // decides bit-identically to the in-memory pipeline that saved it
 // (core_bundle_test pins this for every ModelKind).
 #pragma once

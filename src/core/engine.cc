@@ -20,7 +20,7 @@ const char* CostSourceToken(CostSource source) {
   return "unknown";
 }
 
-Status CostSourceFromToken(const std::string& token, CostSource* out) {
+Status CostSourceFromToken(std::string_view token, CostSource* out) {
   for (CostSource s : {CostSource::kTruth, CostSource::kOptimizerEstimates,
                        CostSource::kConstant, CostSource::kMlSimulator,
                        CostSource::kMlStacked}) {
@@ -29,7 +29,8 @@ Status CostSourceFromToken(const std::string& token, CostSource* out) {
       return Status::OK();
     }
   }
-  return Status::InvalidArgument("unknown cost source token '" + token + "'");
+  return Status::InvalidArgument("unknown cost source token '" + std::string(token) +
+                                 "'");
 }
 
 DecisionEngine::DecisionEngine(std::shared_ptr<const PipelineBundle> bundle,

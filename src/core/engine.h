@@ -14,6 +14,7 @@
 #include <array>
 #include <memory>
 #include <span>
+#include <string_view>
 
 #include "core/bundle.h"
 #include "core/checkpoint.h"
@@ -45,6 +46,8 @@ struct DecideOptions {
   CostSource source = CostSource::kMlStacked;
   /// Cuts per job for the temp-storage objective (1 = single-cut sweep).
   int num_cuts = 1;
+
+  bool operator==(const DecideOptions&) const = default;
 };
 
 /// \brief One job's slot on the batched decide path (DecideJobsInto):
@@ -217,6 +220,6 @@ const char* CostSourceToken(CostSource source);
 /// Inverse of CostSourceToken, for the serve wire protocol and CLI flags.
 /// Unknown tokens are an InvalidArgument naming the token; `*out` untouched
 /// on error.
-Status CostSourceFromToken(const std::string& token, CostSource* out);
+Status CostSourceFromToken(std::string_view token, CostSource* out);
 
 }  // namespace phoebe::core

@@ -179,19 +179,18 @@ std::string SerializeAbReport(const std::vector<AbDayComparison>& days) {
     out += StrFormat("day %d jobs %d arms %zu\n", c.day, c.jobs, c.arms.size());
     for (size_t k = 0; k < c.arms.size(); ++k) {
       const AbArmDaySummary& s = c.arms[k];
-      out += StrFormat(
-          "arm %zu %s %08x considered %d with_cut %d admitted %d "
-          "storage %.17g temp %.17g realized %.17g saving %.17g cost %.17g\n",
-          k, s.name.c_str(), s.checksum, s.jobs_considered, s.jobs_with_cut,
-          s.jobs_admitted, s.storage_used_bytes, s.total_temp_byte_seconds,
-          s.realized_saving_byte_seconds, s.saving_fraction, s.cost);
+      out += StrFormat("arm %zu %s %08x considered %d with_cut %d admitted %d ", k,
+                       s.name.c_str(), s.checksum, s.jobs_considered, s.jobs_with_cut,
+                       s.jobs_admitted);
+      StrAppend(&out, "storage ", s.storage_used_bytes, " temp ", s.total_temp_byte_seconds,
+                " realized ", s.realized_saving_byte_seconds, " saving ", s.saving_fraction,
+                " cost ", s.cost, '\n');
     }
     for (size_t k = 1; k < c.deltas.size(); ++k) {
       const AbArmDelta& d = c.deltas[k];
-      out += StrFormat(
-          "delta %zu decision_flips %d admission_flips %d saving_delta %.17g "
-          "cost_delta %.17g\n",
-          k, d.decision_flips, d.admission_flips, d.saving_delta, d.cost_delta);
+      StrAppend(&out, "delta ", k, " decision_flips ", d.decision_flips, " admission_flips ",
+                d.admission_flips, " saving_delta ", d.saving_delta, " cost_delta ",
+                d.cost_delta, '\n');
       for (const AbDecisionFlip& f : d.flipped_jobs) {
         out += StrFormat("flip %zu job %zu stages %d\n", k, f.job, f.stage_flips);
       }

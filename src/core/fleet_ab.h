@@ -22,7 +22,7 @@
 //   phoebe_ab_report 1
 //   day <d> jobs <m> arms <n>
 //   arm <k> <name> <crc8> considered <c> with_cut <w> admitted <a>
-//       storage <g> temp <g> realized <g> saving <g> cost <g>   # one line, %.17g
+//       storage <g> temp <g> realized <g> saving <g> cost <g>   # one line, AppendDouble
 //   delta <k> decision_flips <f> admission_flips <g> saving_delta <g>
 //       cost_delta <g>                                # k = 1..n-1, one line
 //   flip <k> job <i> stages <s>                       # f lines, ascending i
@@ -127,7 +127,7 @@ Result<AbDayComparison> BuildAbDayComparison(
     const std::vector<FleetDayReport>& reports);
 
 /// Serialize paired day comparisons in the versioned text format above.
-/// Doubles print as %.17g, so Parse(Serialize(x)) == x and equal comparisons
+/// Doubles print via AppendDouble, so Parse(Serialize(x)) == x and equal comparisons
 /// serialize byte-identically.
 std::string SerializeAbReport(const std::vector<AbDayComparison>& days);
 

@@ -93,25 +93,20 @@ Status ParseJobDecisionFromTokens(const std::vector<std::string>& jt,
 }
 
 /// Serialize one day's embedded report section: the aggregate `report` line
-/// plus one `outcome` line per job. Doubles print as %.17g so the parse
-/// round-trips bit-exactly; outcome cut bitsets are not repeated (the
+/// plus one `outcome` line per job. Doubles go through AppendDouble so the
+/// parse round-trips bit-exactly; outcome cut bitsets are not repeated (the
 /// decision records carry them).
-std::string SerializeDayReportSection(const FleetDayReport& report) {
-  std::string out = StrFormat(
-      "report %d %d %d %.17g %.17g %.17g %.17g %lld %lld %lld\n",
-      report.jobs_considered, report.jobs_with_cut, report.jobs_admitted,
-      report.storage_used_bytes, report.total_temp_byte_seconds,
-      report.realized_saving_byte_seconds, report.knapsack_threshold,
-      static_cast<long long>(report.cache_hits),
-      static_cast<long long>(report.cache_misses),
-      static_cast<long long>(report.cache_evictions));
+void AppendDayReportSection(std::string* out, const FleetDayReport& report) {
+  StrAppend(out, "report ", report.jobs_considered, ' ', report.jobs_with_cut, ' ',
+            report.jobs_admitted, ' ', report.storage_used_bytes, ' ',
+            report.total_temp_byte_seconds, ' ', report.realized_saving_byte_seconds, ' ',
+            report.knapsack_threshold, ' ', report.cache_hits, ' ', report.cache_misses,
+            ' ', report.cache_evictions, '\n');
   for (size_t i = 0; i < report.outcomes.size(); ++i) {
     const FleetJobOutcome& o = report.outcomes[i];
-    out += StrFormat("outcome %zu %lld %d %.17g %.17g %.17g\n", i,
-                     static_cast<long long>(o.job_id), o.admitted ? 1 : 0,
-                     o.global_bytes, o.predicted_value, o.realized_value);
+    StrAppend(out, "outcome ", i, ' ', o.job_id, ' ', o.admitted ? '1' : '0', ' ',
+              o.global_bytes, ' ', o.predicted_value, ' ', o.realized_value, '\n');
   }
-  return out;
 }
 
 /// Parse the day report section whose `report` line tokens are `rt`,
@@ -168,15 +163,22 @@ Status ParseDayReportSection(const std::vector<std::string>& rt,
 
 std::string SerializeJobDecisionRecord(size_t index,
                                        const std::optional<FleetDecision>& decision) {
-  if (!decision.has_value()) return StrFormat("job %zu -\n", index);
-  const FleetDecision& d = *decision;
-  std::string out = StrFormat("job %zu %.17g %.17g %zu\n", index,
-                              d.combined.objective, d.combined.global_bytes,
-                              d.cuts.size());
-  for (const cluster::CutSet& cut : d.cuts) {
-    out += "cut " + CutBits(cut) + "\n";
-  }
+  std::string out;
+  AppendJobDecisionRecord(&out, index, decision.has_value() ? &*decision : nullptr);
   return out;
+}
+
+void AppendJobDecisionRecord(std::string* out, size_t index,
+                             const FleetDecision* decision) {
+  if (decision == nullptr) {
+    StrAppend(out, "job ", index, " -\n");
+    return;
+  }
+  StrAppend(out, "job ", index, ' ', decision->combined.objective, ' ',
+            decision->combined.global_bytes, ' ', decision->cuts.size(), '\n');
+  for (const cluster::CutSet& cut : decision->cuts) {
+    StrAppend(out, "cut ", CutBits(cut), '\n');
+  }
 }
 
 Status ParseJobDecisionRecord(const std::string& text, size_t expected_index,
@@ -231,7 +233,7 @@ Result<std::string> SerializeFleetShard(const FleetShardBlob& blob) {
           arms[k].decisions.decisions;
       out += StrFormat("arm %zu jobs %zu\n", k, decisions.size());
       for (size_t i = 0; i < decisions.size(); ++i) {
-        out += SerializeJobDecisionRecord(i, decisions[i]);
+        AppendJobDecisionRecord(&out, i, decisions[i].has_value() ? &*decisions[i] : nullptr);
       }
       if (arms[k].report.has_value()) {
         if (arms[k].report->outcomes.size() != decisions.size()) {
@@ -239,7 +241,7 @@ Result<std::string> SerializeFleetShard(const FleetShardBlob& blob) {
               "report for arm %zu of day %d covers %zu jobs, decisions cover %zu",
               k, day, arms[k].report->outcomes.size(), decisions.size()));
         }
-        out += SerializeDayReportSection(*arms[k].report);
+        AppendDayReportSection(&out, *arms[k].report);
       }
       out += "end_arm\n";
     }

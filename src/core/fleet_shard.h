@@ -24,7 +24,7 @@
 //   day <d>
 //     arm <k> jobs <m>                             # k = 0..n-1, in order
 //       job <i> -                                  # ineligible (< 2 stages)
-//       job <i> <objective> <global_bytes> <c>     # doubles as %.17g
+//       job <i> <objective> <global_bytes> <c>     # doubles via AppendDouble
 //         cut <01-bitstring>                       # c lines, innermost-first
 //       report <considered> <with_cut> <admitted> <storage> <total_tbs>
 //              <realized> <threshold> <hits> <misses> <evictions>  # optional
@@ -94,6 +94,9 @@ inline bool ShardOwnsDay(int day, int shard_index, int shard_count) {
 /// formats cannot drift apart because they are the same bytes.
 std::string SerializeJobDecisionRecord(size_t index,
                                        const std::optional<FleetDecision>& decision);
+/// The same record appended to `*out`; `decision` null = ineligible.
+void AppendJobDecisionRecord(std::string* out, size_t index,
+                             const FleetDecision* decision);
 
 /// Strict parse of one job decision record occupying the whole string. The
 /// record's job index must equal `expected_index`. `*out` untouched on
@@ -124,7 +127,7 @@ Result<std::map<int, std::vector<ShardArmDay>>> CombineFleetShards(
     const std::vector<uint32_t>& expected_arm_checksums);
 
 /// Canonical single-line JSON rendering of a day report — the byte-compared
-/// unit of the shard/merge determinism guarantee (doubles as %.17g, key order
+/// unit of the shard/merge determinism guarantee (doubles via AppendDouble, key order
 /// fixed, per-job outcomes included). Ends without a newline.
 std::string FleetDayReportJson(const FleetDayReport& report, int day);
 

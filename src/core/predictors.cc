@@ -212,10 +212,10 @@ Result<std::string> TakeModelBlock(const std::vector<std::string>& lines, size_t
 
 std::string StageCostPredictor::ToText() const {
   PHOEBE_CHECK_MSG(trained_, "ToText called before Train");
-  std::string out = StrFormat(
-      "stage_cost_predictor %d %d %zu %zu %.17g\n", static_cast<int>(target_),
-      static_cast<int>(config_.kind), featurizer_.FeatureNames().size(),
-      per_type_.size(), general_calibration_);
+  std::string out;
+  StrAppend(&out, "stage_cost_predictor ", static_cast<int>(target_), ' ',
+            static_cast<int>(config_.kind), ' ', featurizer_.FeatureNames().size(), ' ',
+            per_type_.size(), ' ', general_calibration_, '\n');
   out += "general_model\n";
   if (config_.kind == ModelKind::kMlpGeneral) {
     out += static_cast<const ml::MlpRegressor*>(general_.get())->ToText();
@@ -224,7 +224,7 @@ std::string StageCostPredictor::ToText() const {
   }
   out += "end_model\n";
   for (const auto& [type, model] : per_type_) {
-    out += StrFormat("type %d %.17g\n", type, calibration_.at(type));
+    StrAppend(&out, "type ", type, ' ', calibration_.at(type), '\n');
     out += model.ToText();
     out += "end_model\n";
   }

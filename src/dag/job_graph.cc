@@ -167,15 +167,17 @@ bool JobGraph::Reaches(StageId ancestor, StageId descendant) const {
 }
 
 std::string JobGraph::ToText() const {
-  std::string out = "job " + name_ + "\n";
+  std::string out;
+  StrAppend(&out, "job ", name_, '\n');
   for (const Stage& s : stages_) {
-    std::vector<std::string> ops;
-    ops.reserve(s.operators.size());
-    for (OperatorKind k : s.operators) ops.push_back(OperatorKindName(k));
-    out += StrFormat("stage %s %d %d %s\n", s.name.c_str(), s.stage_type, s.num_tasks,
-                     Join(ops, ",").c_str());
+    StrAppend(&out, "stage ", s.name, ' ', s.stage_type, ' ', s.num_tasks, ' ');
+    for (size_t i = 0; i < s.operators.size(); ++i) {
+      if (i) out += ',';
+      out += OperatorKindName(s.operators[i]);
+    }
+    out += '\n';
   }
-  for (const Edge& e : edges_) out += StrFormat("edge %d %d\n", e.from, e.to);
+  for (const Edge& e : edges_) StrAppend(&out, "edge ", e.from, ' ', e.to, '\n');
   return out;
 }
 
@@ -183,19 +185,22 @@ Status JobGraph::FromText(std::string_view text, JobGraph* out) {
   PHOEBE_CHECK(out != nullptr);
   JobGraph g;
   int lineno = 0;
-  for (const std::string& raw : Split(std::string(text), '\n')) {
+  std::vector<std::string_view> lines, tok, ops;
+  SplitInto(text, '\n', &lines);
+  for (std::string_view line : lines) {
     ++lineno;
-    std::string line = raw;
     // Trim trailing CR and surrounding whitespace.
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) line.pop_back();
+    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
+      line.remove_suffix(1);
+    }
     size_t start = line.find_first_not_of(' ');
-    if (start == std::string::npos) continue;
-    line = line.substr(start);
-    if (line.empty() || line[0] == '#') continue;
+    if (start == std::string_view::npos) continue;
+    line.remove_prefix(start);
+    if (line[0] == '#') continue;
 
-    std::vector<std::string> tok = Split(line, ' ');
+    SplitInto(line, ' ', &tok);
     if (tok[0] == "job") {
-      g.set_name(tok.size() > 1 ? tok[1] : "");
+      g.set_name(tok.size() > 1 ? std::string(tok[1]) : "");
     } else if (tok[0] == "stage") {
       if (tok.size() != 5) {
         return Status::InvalidArgument(
@@ -205,14 +210,16 @@ Status JobGraph::FromText(std::string_view text, JobGraph* out) {
       s.name = tok[1];
       if (!ParseInt32(tok[2], &s.stage_type).ok() || !ParseInt32(tok[3], &s.num_tasks).ok()) {
         return Status::InvalidArgument(
-            StrFormat("line %d: bad stage type/tasks '%s %s'", lineno, tok[2].c_str(),
-                      tok[3].c_str()));
+            StrFormat("line %d: bad stage type/tasks '%.*s %.*s'", lineno,
+                      static_cast<int>(tok[2].size()), tok[2].data(),
+                      static_cast<int>(tok[3].size()), tok[3].data()));
       }
-      for (const std::string& op : Split(tok[4], ',')) {
+      SplitInto(tok[4], ',', &ops);
+      for (std::string_view op : ops) {
         OperatorKind k = OperatorKindFromName(op);
         if (k == OperatorKind::kMaxValue) {
-          return Status::InvalidArgument(
-              StrFormat("line %d: unknown operator '%s'", lineno, op.c_str()));
+          return Status::InvalidArgument(StrFormat("line %d: unknown operator '%.*s'", lineno,
+                                                   static_cast<int>(op.size()), op.data()));
         }
         s.operators.push_back(k);
       }
@@ -224,13 +231,15 @@ Status JobGraph::FromText(std::string_view text, JobGraph* out) {
       StageId from = kInvalidStage, to = kInvalidStage;
       if (!ParseInt32(tok[1], &from).ok() || !ParseInt32(tok[2], &to).ok()) {
         return Status::InvalidArgument(
-            StrFormat("line %d: bad edge ids '%s %s'", lineno, tok[1].c_str(),
-                      tok[2].c_str()));
+            StrFormat("line %d: bad edge ids '%.*s %.*s'", lineno,
+                      static_cast<int>(tok[1].size()), tok[1].data(),
+                      static_cast<int>(tok[2].size()), tok[2].data()));
       }
       PHOEBE_RETURN_NOT_OK(g.AddEdge(from, to));
     } else {
-      return Status::InvalidArgument(
-          StrFormat("line %d: unknown directive '%s'", lineno, tok[0].c_str()));
+      return Status::InvalidArgument(StrFormat("line %d: unknown directive '%.*s'", lineno,
+                                               static_cast<int>(tok[0].size()),
+                                               tok[0].data()));
     }
   }
   PHOEBE_RETURN_NOT_OK(g.Validate());

@@ -22,7 +22,7 @@ const std::string& OperatorKindName(OperatorKind kind) {
   return Names()[static_cast<size_t>(i)];
 }
 
-OperatorKind OperatorKindFromName(const std::string& name) {
+OperatorKind OperatorKindFromName(std::string_view name) {
   const auto& names = Names();
   for (int i = 0; i < kNumOperatorKinds; ++i) {
     if (names[static_cast<size_t>(i)] == name) return static_cast<OperatorKind>(i);

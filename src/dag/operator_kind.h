@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace phoebe::dag {
 
@@ -37,6 +38,6 @@ inline constexpr int kNumOperatorKinds = static_cast<int>(OperatorKind::kMaxValu
 const std::string& OperatorKindName(OperatorKind kind);
 
 /// Inverse of OperatorKindName; returns kMaxValue if unknown.
-OperatorKind OperatorKindFromName(const std::string& name);
+OperatorKind OperatorKindFromName(std::string_view name);
 
 }  // namespace phoebe::dag

@@ -137,8 +137,8 @@ struct LifecycleDayReport {
 };
 
 /// Canonical single-line JSON rendering of a day report — the byte-compared
-/// unit of the lifecycle determinism contract (key order fixed, doubles as
-/// %.17g; template-cache traffic is deliberately absent so exact-cache and
+/// unit of the lifecycle determinism contract (key order fixed, doubles via
+/// AppendDouble; template-cache traffic is deliberately absent so exact-cache and
 /// uncached runs render identically). Ends without a newline.
 std::string LifecycleDayReportJson(const LifecycleDayReport& report);
 

@@ -19,12 +19,12 @@ bool ValidVerdict(const std::string& verdict) {
 
 /// The record body: every byte the trailing CRC covers.
 std::string RecordBody(const PromotionRecord& r) {
-  return StrFormat(
-      "record day %d window %d %d incumbent %08x candidate %08x "
-      "incumbent_cost %.17g candidate_cost %.17g reason %s verdict %s",
-      r.day, r.window_first, r.window_last, r.incumbent_checksum,
-      r.candidate_checksum, r.incumbent_cost, r.candidate_cost, r.reason.c_str(),
-      r.verdict.c_str());
+  std::string body = StrFormat("record day %d window %d %d incumbent %08x candidate %08x ",
+                               r.day, r.window_first, r.window_last,
+                               r.incumbent_checksum, r.candidate_checksum);
+  StrAppend(&body, "incumbent_cost ", r.incumbent_cost, " candidate_cost ",
+            r.candidate_cost, " reason ", r.reason, " verdict ", r.verdict);
+  return body;
 }
 
 /// A cost is either the -1 "not measured" sentinel or a fraction in [0, 1].

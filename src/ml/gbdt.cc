@@ -450,13 +450,13 @@ std::vector<double> GbdtRegressor::FeatureImportanceGain() const {
 
 std::string GbdtRegressor::ToText() const {
   PHOEBE_CHECK_MSG(fitted_, "ToText called before Fit");
-  std::string out = StrFormat("gbdt %zu %zu %.17g\n", num_features_, trees_.size(),
-                              base_score_);
+  std::string out;
+  StrAppend(&out, "gbdt ", num_features_, ' ', trees_.size(), ' ', base_score_, '\n');
   for (const Tree& t : trees_) {
-    out += StrFormat("tree %zu\n", t.nodes.size());
+    StrAppend(&out, "tree ", t.nodes.size(), '\n');
     for (const TreeNode& n : t.nodes) {
-      out += StrFormat("node %d %.17g %d %d %.17g\n", n.feature, n.threshold, n.left,
-                       n.right, n.value);
+      StrAppend(&out, "node ", n.feature, ' ', n.threshold, ' ', n.left, ' ', n.right, ' ',
+                n.value, '\n');
     }
   }
   return out;

@@ -129,8 +129,9 @@ void RidgeRegressor::PredictRowsInto(const FeatureMatrix& x, std::span<const siz
 
 std::string RidgeRegressor::ToText() const {
   PHOEBE_CHECK_MSG(fitted_, "ToText called before Fit");
-  std::string out = StrFormat("ridge %zu %.17g\n", weights_.size(), intercept_);
-  for (double w : weights_) out += StrFormat("w %.17g\n", w);
+  std::string out;
+  StrAppend(&out, "ridge ", weights_.size(), ' ', intercept_, '\n');
+  for (double w : weights_) StrAppend(&out, "w ", w, '\n');
   return out;
 }
 

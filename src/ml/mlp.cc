@@ -255,15 +255,16 @@ void MlpRegressor::PredictRowsInto(const FeatureMatrix& x, std::span<const size_
 
 std::string MlpRegressor::ToText() const {
   PHOEBE_CHECK_MSG(fitted_, "ToText called before Fit");
-  std::string out = StrFormat("mlp %zu %zu %.17g %.17g\n", x_mean_.size(),
-                              layers_.size(), y_mean_, y_std_);
+  std::string out;
+  StrAppend(&out, "mlp ", x_mean_.size(), ' ', layers_.size(), ' ', y_mean_, ' ', y_std_,
+            '\n');
   for (size_t f = 0; f < x_mean_.size(); ++f) {
-    out += StrFormat("norm %.17g %.17g\n", x_mean_[f], x_std_[f]);
+    StrAppend(&out, "norm ", x_mean_[f], ' ', x_std_[f], '\n');
   }
   for (const Layer& l : layers_) {
-    out += StrFormat("layer %d %d\n", l.in, l.out);
-    for (double w : l.w) out += StrFormat("%.17g\n", w);
-    for (double b : l.b) out += StrFormat("%.17g\n", b);
+    StrAppend(&out, "layer ", l.in, ' ', l.out, '\n');
+    for (double w : l.w) StrAppend(&out, w, '\n');
+    for (double b : l.b) StrAppend(&out, b, '\n');
   }
   return out;
 }

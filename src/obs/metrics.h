@@ -140,7 +140,7 @@ MetricsSnapshot SnapshotDelta(const MetricsSnapshot& before,
 /// Single-line JSON rendering of one snapshot — the per-day telemetry line
 /// written next to FleetDayReportJson. `scope` says what the line covers
 /// ("day" deltas or the cumulative "run"); `day` is the 0-based day index
-/// (-1 for run-scope lines). Key order is fixed and doubles print %.17g, so
+/// (-1 for run-scope lines). Key order is fixed and doubles print via AppendDouble, so
 /// equal snapshots render byte-identically. Ends without a newline.
 std::string TelemetryLineJson(const MetricsSnapshot& snapshot,
                               const std::string& scope, int day);

@@ -237,14 +237,14 @@ Status ScenarioFromPreset(std::string_view name, ScenarioSpec* out) {
 std::string SerializeScenario(const ScenarioSpec& spec) {
   std::string out = StrFormat("%s %d\n", kMagic, kFormatVersion);
   out += StrFormat("name %s\n", spec.name.c_str());
-  out += StrFormat("zipf_exponent %.17g\n", spec.zipf_exponent);
+  StrAppend(&out, "zipf_exponent ", spec.zipf_exponent, '\n');
   for (const OverlayField& f : kOverlayFields) {
     const std::optional<double>& v = spec.*(f.member);
-    if (v) out += StrFormat("overlay %s %.17g\n", f.name, *v);
+    if (v) StrAppend(&out, "overlay ", f.name, ' ', *v, '\n');
   }
   for (const ScenarioEvent& e : spec.events) {
-    out += StrFormat("event %s %s %d %d %.17g\n", KindToken(e.kind),
-                     ModeToken(e.mode), e.first_day, e.last_day, e.magnitude);
+    StrAppend(&out, "event ", KindToken(e.kind), ' ', ModeToken(e.mode), ' ', e.first_day,
+              ' ', e.last_day, ' ', e.magnitude, '\n');
   }
   out += "end_scenario\n";
   return out;

@@ -40,7 +40,7 @@ const char* FrameTypeToken(FrameType type) {
   return "unknown";
 }
 
-Status FrameTypeFromToken(const std::string& token, FrameType* out) {
+Status FrameTypeFromToken(std::string_view token, FrameType* out) {
   for (FrameType t : {FrameType::kDecide, FrameType::kReload, FrameType::kPing,
                       FrameType::kShutdown, FrameType::kDecision, FrameType::kOk,
                       FrameType::kError}) {
@@ -49,7 +49,8 @@ Status FrameTypeFromToken(const std::string& token, FrameType* out) {
       return Status::OK();
     }
   }
-  return Status::InvalidArgument("serve frame: unknown type token '" + token + "'");
+  return Status::InvalidArgument("serve frame: unknown type token '" + std::string(token) +
+                                 "'");
 }
 
 std::string EncodeFrame(const Frame& frame) {
@@ -77,7 +78,8 @@ FrameDecode DecodeFrame(std::string_view buffer, Frame* out, size_t* consumed,
     return FrameDecode::kError;
   }
 
-  std::vector<std::string> tok = Split(std::string(buffer.substr(0, nl)), ' ');
+  std::vector<std::string_view> tok;
+  SplitInto(buffer.substr(0, nl), ' ', &tok);
   if (tok.size() != 6 || tok[0] != kFrameMagic) {
     *error = Status::InvalidArgument("serve frame: bad magic/header shape");
     return FrameDecode::kError;
@@ -99,12 +101,13 @@ FrameDecode DecodeFrame(std::string_view buffer, Frame* out, size_t* consumed,
   }
   int64_t id = 0;
   if (!ParseInt64(tok[3], &id).ok() || id < 0) {
-    *error = Status::InvalidArgument("serve frame: malformed id '" + tok[3] + "'");
+    *error = Status::InvalidArgument("serve frame: malformed id '" + std::string(tok[3]) + "'");
     return FrameDecode::kError;
   }
   int64_t nbytes = 0;
   if (!ParseInt64(tok[4], &nbytes).ok() || nbytes < 0) {
-    *error = Status::InvalidArgument("serve frame: malformed length '" + tok[4] + "'");
+    *error =
+        Status::InvalidArgument("serve frame: malformed length '" + std::string(tok[4]) + "'");
     return FrameDecode::kError;
   }
   if (static_cast<size_t>(nbytes) > kMaxPayloadBytes) {
@@ -115,7 +118,8 @@ FrameDecode DecodeFrame(std::string_view buffer, Frame* out, size_t* consumed,
   }
   uint32_t stored_crc = 0;
   if (!ParseHexU32(tok[5], &stored_crc).ok()) {
-    *error = Status::InvalidArgument("serve frame: malformed checksum '" + tok[5] + "'");
+    *error = Status::InvalidArgument("serve frame: malformed checksum '" +
+                                     std::string(tok[5]) + "'");
     return FrameDecode::kError;
   }
 
@@ -166,7 +170,7 @@ const char* ObjectiveToken(core::Objective objective) {
   return objective == core::Objective::kRecovery ? "recovery" : "temp";
 }
 
-Status ObjectiveFromToken(const std::string& token, core::Objective* out) {
+Status ObjectiveFromToken(std::string_view token, core::Objective* out) {
   if (token == "temp") {
     *out = core::Objective::kTempStorage;
     return Status::OK();
@@ -175,36 +179,53 @@ Status ObjectiveFromToken(const std::string& token, core::Objective* out) {
     *out = core::Objective::kRecovery;
     return Status::OK();
   }
-  return Status::InvalidArgument("serve: unknown objective token '" + token + "'");
+  return Status::InvalidArgument("serve: unknown objective token '" + std::string(token) +
+                                 "'");
 }
+
+namespace {
+
+void AppendDecideRequest(std::string* out, const workload::JobInstance& job,
+                         const core::DecideOptions& options) {
+  StrAppend(out, "decide_options ", ObjectiveToken(options.objective), ' ',
+            core::CostSourceToken(options.source), ' ', options.num_cuts, '\n');
+  workload::AppendTrace(out, std::span(&job, 1));
+}
+
+}  // namespace
 
 std::string SerializeDecideRequest(const workload::JobInstance& job,
                                    const core::DecideOptions& options) {
-  std::string out = StrFormat("decide_options %s %s %d\n",
-                              ObjectiveToken(options.objective),
-                              core::CostSourceToken(options.source), options.num_cuts);
-  out += workload::SerializeTrace({job});
+  std::string out;
+  AppendDecideRequest(&out, job, options);
   return out;
 }
 
-Status ParseDecideRequest(const std::string& payload, DecideRequest* out) {
-  std::string line, rest;
-  PHOEBE_RETURN_NOT_OK(FirstLine(payload, &line, &rest));
-  std::vector<std::string> tok = Split(line, ' ');
+Status ParseDecideRequest(std::string_view payload, DecideRequest* out,
+                          std::string* scratch) {
+  const size_t nl = payload.find('\n');
+  if (nl == std::string_view::npos) {
+    return Status::InvalidArgument("serve payload: missing header line");
+  }
+  const std::string_view line = payload.substr(0, nl);
+  std::vector<std::string_view> tok;
+  SplitInto(line, ' ', &tok);
   if (tok.size() != 4 || tok[0] != "decide_options") {
-    return Status::InvalidArgument("serve decide: malformed options line '" + line + "'");
+    return Status::InvalidArgument("serve decide: malformed options line '" +
+                                   std::string(line) + "'");
   }
   core::DecideOptions options;
   PHOEBE_RETURN_NOT_OK(ObjectiveFromToken(tok[1], &options.objective));
   PHOEBE_RETURN_NOT_OK(core::CostSourceFromToken(tok[2], &options.source));
   int32_t num_cuts = 0;
   if (!ParseInt32(tok[3], &num_cuts).ok() || num_cuts < 1 || num_cuts > 64) {
-    return Status::InvalidArgument("serve decide: bad num_cuts '" + tok[3] + "'");
+    return Status::InvalidArgument("serve decide: bad num_cuts '" + std::string(tok[3]) +
+                                   "'");
   }
   options.num_cuts = num_cuts;
 
   std::vector<workload::JobInstance> jobs;
-  PHOEBE_RETURN_NOT_OK(workload::ParseTrace(std::string_view(rest), &jobs));
+  PHOEBE_RETURN_NOT_OK(workload::ParseTrace(payload.substr(nl + 1), &jobs));
   if (jobs.size() != 1) {
     return Status::InvalidArgument(
         StrFormat("serve decide: expected exactly 1 job, got %zu", jobs.size()));
@@ -213,7 +234,11 @@ Status ParseDecideRequest(const std::string& payload, DecideRequest* out) {
   // emits for the parsed request. This rejects trailing bytes the trace
   // parser would tolerate and pins one wire form per request, so equal
   // requests are equal bytes end to end.
-  if (SerializeDecideRequest(jobs.front(), options) != payload) {
+  std::string local;
+  std::string* canonical = scratch != nullptr ? scratch : &local;
+  canonical->clear();
+  AppendDecideRequest(canonical, jobs.front(), options);
+  if (*canonical != payload) {
     return Status::InvalidArgument(
         "serve decide: payload is not in canonical serialized form");
   }
@@ -223,9 +248,9 @@ Status ParseDecideRequest(const std::string& payload, DecideRequest* out) {
 }
 
 std::string SerializeDecideResponse(uint32_t bundle_checksum,
-                                    const std::optional<core::FleetDecision>& decision) {
+                                    const core::FleetDecision* decision) {
   std::string out = StrFormat("decision %08x\n", bundle_checksum);
-  out += core::SerializeJobDecisionRecord(0, decision);
+  core::AppendJobDecisionRecord(&out, 0, decision);
   return out;
 }
 

@@ -63,7 +63,7 @@ enum class FrameType {
 /// Wire token for a frame type ("decide", "decision", ...).
 const char* FrameTypeToken(FrameType type);
 /// Inverse of FrameTypeToken; unknown tokens are an error.
-Status FrameTypeFromToken(const std::string& token, FrameType* out);
+Status FrameTypeFromToken(std::string_view token, FrameType* out);
 
 /// \brief One protocol frame: type + request id + raw payload bytes.
 struct Frame {
@@ -115,8 +115,11 @@ std::string SerializeDecideRequest(const workload::JobInstance& job,
 /// Strict parse of a decide-request payload (options line + a one-job
 /// trace). The payload must be byte-for-byte what SerializeDecideRequest
 /// emits for the parsed request (one canonical wire form; no trailing
-/// bytes). `*out` untouched on error.
-Status ParseDecideRequest(const std::string& payload, DecideRequest* out);
+/// bytes): the check re-serializes the parsed request into `*scratch` and
+/// compares bytes, so a caller that parses many requests passes one buffer
+/// it keeps between them (null = a temporary). `*out` untouched on error.
+Status ParseDecideRequest(std::string_view payload, DecideRequest* out,
+                          std::string* scratch = nullptr);
 
 /// \brief A parsed decision response: which bundle answered, and the
 /// decision (nullopt = job ineligible, mirroring the shard blob's `-`).
@@ -125,17 +128,18 @@ struct DecideResponse {
   std::optional<core::FleetDecision> decision;
 };
 
-/// Build a decision-response payload. The job record reuses the shard-blob
-/// line format byte for byte, so socket answers are directly comparable to
-/// shard/merge artifacts from the same bundle.
+/// Build a decision-response payload; `decision` null = the job is
+/// ineligible. The job record reuses the shard-blob line format byte for
+/// byte, so socket answers are directly comparable to shard/merge artifacts
+/// from the same bundle.
 std::string SerializeDecideResponse(uint32_t bundle_checksum,
-                                    const std::optional<core::FleetDecision>& decision);
+                                    const core::FleetDecision* decision);
 /// Strict parse of a decision-response payload. `*out` untouched on error.
 Status ParseDecideResponse(const std::string& payload, DecideResponse* out);
 
 /// Wire token for an objective ("temp" / "recovery"), matching the CLI.
 const char* ObjectiveToken(core::Objective objective);
 /// Inverse of ObjectiveToken; unknown tokens are an error.
-Status ObjectiveFromToken(const std::string& token, core::Objective* out);
+Status ObjectiveFromToken(std::string_view token, core::Objective* out);
 
 }  // namespace phoebe::serve

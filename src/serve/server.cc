@@ -9,9 +9,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "common/strings.h"
-#include "core/fleet_shard.h"
 
 namespace phoebe::serve {
 
@@ -250,6 +250,7 @@ void ServeServer::AcceptLoop() {
 void ServeServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   [this, &conn] {
     std::string pending;
+    std::string canonical;  // ParseDecideRequest's re-serialization buffer
     char buf[4096];
     while (true) {
       ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
@@ -271,7 +272,7 @@ void ServeServer::ReaderLoop(std::shared_ptr<Connection> conn) {
           return;
         }
         pending.erase(0, consumed);
-        HandleFrame(conn, std::move(frame));
+        HandleFrame(conn, std::move(frame), &canonical);
       }
     }
   }();
@@ -288,7 +289,8 @@ void ServeServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   }
 }
 
-void ServeServer::HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame) {
+void ServeServer::HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame,
+                              std::string* canonical) {
   switch (frame.type) {
     case FrameType::kPing:
       WriteFrame(conn, Frame{FrameType::kOk, frame.id, "pong"});
@@ -336,7 +338,7 @@ void ServeServer::HandleFrame(const std::shared_ptr<Connection>& conn, Frame fra
     case FrameType::kDecide: {
       Request request;
       DecideRequest parsed;
-      Status s = ParseDecideRequest(frame.payload, &parsed);
+      Status s = ParseDecideRequest(frame.payload, &parsed, canonical);
       if (!s.ok()) {
         // The frame itself was sound (length + CRC passed), so the stream is
         // still in sync: reply with the payload error and keep the
@@ -375,41 +377,59 @@ void ServeServer::WorkerLoop() {
   // crosses a reload boundary (pinned bundle pointer changes).
   std::shared_ptr<const core::PipelineBundle> engine_bundle;
   std::optional<core::DecisionEngine> engine;
-  // The fleet's allocation-free decide path: one arena and one decision per
-  // worker, recycled across requests (and across reloads — an arena holds no
-  // bundle state).
+  // The fleet's day path at batch scale: one arena, one slot vector and one
+  // job-pointer vector per worker, recycled across batches (and across
+  // reloads — none of them holds bundle state). Slots only grow, so their
+  // decisions' cut bitsets are reused in place.
   core::DecideScratch scratch;
-  std::optional<core::FleetDecision> decision;
-  const std::optional<core::FleetDecision> no_decision;
+  std::vector<core::JobDecision> slots;
+  std::vector<const workload::JobInstance*> jobs;
   while (true) {
-    std::vector<Request> batch = PopBatch(config_.coalesce ? config_.max_batch : 1);
+    std::vector<Request> batch = PopBatch(config_.max_batch);
     if (batch.empty()) return;  // queue closed and drained
     obs::Observe(metrics_.batch_size, static_cast<double>(batch.size()));
-    for (Request& request : batch) {
-      if (request.bundle != engine_bundle) {
-        engine_bundle = request.bundle;
+    // Each run of consecutive requests with one pinned bundle and one
+    // DecideOptions is a mini-day: one DecideJobsInto call over its eligible
+    // (>= 2-stage) jobs.
+    for (size_t begin = 0, end = 0; begin < batch.size(); begin = end) {
+      const Request& head = batch[begin];
+      jobs.clear();
+      for (end = begin; end < batch.size() && batch[end].bundle == head.bundle &&
+                        batch[end].options == head.options;
+           ++end) {
+        if (batch[end].job.graph.num_stages() >= 2) jobs.push_back(&batch[end].job);
+      }
+      if (head.bundle != engine_bundle) {
+        engine_bundle = head.bundle;
         engine.emplace(engine_bundle, config_.metrics);
       }
-      const bool eligible = request.job.graph.num_stages() >= 2;
-      if (eligible) {
-        if (!decision) decision.emplace();
-        Status st = engine->DecideJobInto(request.job, engine_bundle->stats(),
-                                          request.options, &scratch, &*decision);
-        if (!st.ok()) {
-          obs::Increment(metrics_.errors);
-          WriteError(request.conn, request.id, st);
-          continue;
-        }
+      if (slots.size() < jobs.size()) slots.resize(jobs.size());
+      if (!jobs.empty()) {
+        engine->DecideJobsInto(jobs, engine_bundle->stats(), head.options, &scratch,
+                               std::span(slots).first(jobs.size()));
       }
-      std::string payload = SerializeDecideResponse(engine_bundle->checksum(),
-                                                    eligible ? decision : no_decision);
-      WriteFrame(request.conn,
-                 Frame{FrameType::kDecision, request.id, std::move(payload)});
-      obs::Increment(metrics_.requests);
-      obs::Observe(metrics_.request_seconds,
-                   std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                 request.received)
-                       .count());
+      size_t slot = 0;
+      for (size_t k = begin; k < end; ++k) {
+        const Request& request = batch[k];
+        const core::FleetDecision* decision = nullptr;  // ineligible: no decision
+        if (request.job.graph.num_stages() >= 2) {
+          const core::JobDecision& decided = slots[slot++];
+          if (!decided.status.ok()) {
+            obs::Increment(metrics_.errors);
+            WriteError(request.conn, request.id, decided.status);
+            continue;
+          }
+          decision = &decided.decision;
+        }
+        WriteFrame(request.conn,
+                   Frame{FrameType::kDecision, request.id,
+                         SerializeDecideResponse(engine_bundle->checksum(), decision)});
+        obs::Increment(metrics_.requests);
+        obs::Observe(metrics_.request_seconds,
+                     std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                                   request.received)
+                         .count());
+      }
     }
   }
 }

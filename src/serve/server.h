@@ -13,9 +13,12 @@
 //                        │
 //                        ▼
 //   worker threads: pop up to `max_batch` requests in one go (coalescing;
-//   `coalesce=false` degrades to batches of 1), decide each via a const
-//   DecisionEngine over the request's *pinned* bundle, write the response
-//   frame back under the connection's write mutex.
+//   `max_batch = 1` decides one request per wakeup), split the batch into
+//   runs of consecutive requests that pinned the same bundle and ask for the
+//   same DecideOptions, decide each run as a mini-day through one
+//   DecisionEngine::DecideJobsInto call, and write each response frame,
+//   serialized straight from its decision slot, under the connection's
+//   write mutex.
 //
 // Hot reload: the served bundle lives in a std::atomic<shared_ptr<const
 // PipelineBundle>>. Reload() loads + verifies the new file (checksum-gated
@@ -25,13 +28,15 @@
 // response. The swap is logged with old → new checksums and counted in
 // `serve.reloads`.
 //
-// Determinism: each worker decides through DecideJobInto on its own
-// DecideScratch (the fleet's allocation-free path), a pure function of
-// (bundle, options, job, stats); the queue only reorders *between* requests
-// (each response carries its request id), and metrics are strictly passive
-// — so socket answers are byte-identical to direct DecisionEngine calls for
-// any worker count, coalescing mode, and metrics setting, before/during/after
-// a reload to the same artifact (serve_determinism_test pins this;
+// Determinism: each worker decides through DecideJobsInto on its own
+// DecideScratch (the fleet's day path), whose slot k is byte for byte what
+// DecideJobInto returns for job k alone — a pure function of (bundle,
+// options, job, stats), whatever else shares the batch. The queue only
+// reorders *between* requests (each response carries its request id), and
+// metrics are strictly passive — so socket answers are byte-identical to
+// direct DecisionEngine calls for any worker count, batch size, and metrics
+// setting, before/during/after a reload to the same artifact
+// (serve_determinism_test pins this, mixed batches included;
 // serve_concurrency_test runs the reload/decide races under TSan).
 #pragma once
 
@@ -62,9 +67,6 @@ struct ServeConfig {
   int max_batch = 16;
   /// Bounded queue capacity; producers block (never drop) when full.
   int queue_capacity = 256;
-  /// When false, workers pop one request at a time (serve_determinism_test
-  /// pins that this knob cannot change any response byte).
-  bool coalesce = true;
   /// Bundle file reloaded on SIGHUP / an empty-payload reload frame.
   std::string bundle_path;
   /// Optional observability registry (borrowed; must outlive the server).
@@ -151,7 +153,10 @@ class ServeServer {
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void WorkerLoop();
-  void HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame);
+  /// `canonical` is the reader's buffer for the decide-request canonical-form
+  /// check, kept across requests.
+  void HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame,
+                   std::string* canonical);
   /// Serialize + send one frame; failures mark the connection closed (the
   /// client went away — its queued requests still compute, writes no-op).
   void WriteFrame(const std::shared_ptr<Connection>& conn, const Frame& frame);

@@ -77,16 +77,18 @@ std::string HistoricStats::ToText() const {
   // only approximately, so they are stored too.
   std::string out = StrFormat("historic_stats %zu %zu\n", by_template_type_.size(),
                               by_type_.size());
-  auto acc_line = [](const char* tag, const Acc& a) {
-    return StrFormat("%s %.17g %.17g %.17g %lld\n", tag, a.sum_exec, a.sum_output,
-                     a.sum_ttl, static_cast<long long>(a.n));
+  auto append_acc = [&out](const Acc& a) {
+    StrAppend(&out, a.sum_exec, ' ', a.sum_output, ' ', a.sum_ttl, ' ', a.n, '\n');
   };
-  out += acc_line("global", global_);
+  out += "global ";
+  append_acc(global_);
   for (const auto& [key, acc] : by_template_type_) {
-    out += StrFormat("tt %d %d ", key.first, key.second) + acc_line("", acc).substr(1);
+    StrAppend(&out, "tt ", key.first, ' ', key.second, ' ');
+    append_acc(acc);
   }
   for (const auto& [type, acc] : by_type_) {
-    out += StrFormat("t %d ", type) + acc_line("", acc).substr(1);
+    StrAppend(&out, "t ", type, ' ');
+    append_acc(acc);
   }
   return out;
 }

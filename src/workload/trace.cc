@@ -4,50 +4,56 @@
 
 namespace phoebe::workload {
 
-std::string SerializeTrace(const std::vector<JobInstance>& jobs) {
-  std::string out = StrFormat("trace v1 %zu\n", jobs.size());
+void AppendTrace(std::string* out, std::span<const JobInstance> jobs) {
+  StrAppend(out, "trace v1 ", jobs.size(), '\n');
   for (const JobInstance& job : jobs) {
     PHOEBE_CHECK_MSG(job.truth.size() == job.graph.num_stages() &&
                          job.est.size() == job.graph.num_stages(),
                      "job arrays inconsistent with graph");
-    out += StrFormat("beginjob %lld %d %d %.17g %s %s\n",
-                     static_cast<long long>(job.job_id), job.template_id, job.day,
-                     job.submit_time, job.job_name.c_str(),
-                     job.norm_input_name.c_str());
-    out += job.graph.ToText();
-    out += "endgraph\n";
+    StrAppend(out, "beginjob ", job.job_id, ' ', job.template_id, ' ', job.day, ' ',
+              job.submit_time, ' ', job.job_name, ' ', job.norm_input_name, '\n');
+    *out += job.graph.ToText();
+    *out += "endgraph\n";
     for (const StageTruth& t : job.truth) {
-      out += StrFormat("truth %.17g %.17g %.17g %.17g %d %.17g %.17g %.17g %.17g\n",
-                       t.input_bytes, t.output_bytes, t.exec_seconds, t.wall_seconds,
-                       t.num_tasks, t.start_time, t.end_time, t.ttl, t.tfs);
+      StrAppend(out, "truth ", t.input_bytes, ' ', t.output_bytes, ' ', t.exec_seconds,
+                ' ', t.wall_seconds, ' ', t.num_tasks, ' ', t.start_time, ' ', t.end_time,
+                ' ', t.ttl, ' ', t.tfs, '\n');
     }
     for (const StageEstimates& e : job.est) {
-      out += StrFormat("est %.17g %.17g %.17g %.17g %.17g\n", e.est_cost,
-                       e.est_exclusive_cost, e.est_input_cardinality,
-                       e.est_cardinality, e.est_output_bytes);
+      StrAppend(out, "est ", e.est_cost, ' ', e.est_exclusive_cost, ' ',
+                e.est_input_cardinality, ' ', e.est_cardinality, ' ', e.est_output_bytes,
+                '\n');
     }
-    out += "endjob\n";
+    *out += "endjob\n";
   }
+}
+
+std::string SerializeTrace(const std::vector<JobInstance>& jobs) {
+  std::string out;
+  AppendTrace(&out, jobs);
   return out;
 }
 
 Status ParseTrace(std::string_view text, std::vector<JobInstance>* out) {
   PHOEBE_CHECK(out != nullptr);
-  std::vector<std::string> lines = Split(std::string(text), '\n');
+  std::vector<std::string_view> lines;
+  SplitInto(text, '\n', &lines);
   size_t i = 0;
-  auto next = [&]() -> const std::string* {
+  auto next = [&]() -> const std::string_view* {
     while (i < lines.size() && lines[i].empty()) ++i;
     return i < lines.size() ? &lines[i++] : nullptr;
   };
+  // One token vector, reused for every line: tokens are views of `text`.
+  std::vector<std::string_view> tok;
 
-  const std::string* line = next();
+  const std::string_view* line = next();
   if (!line) return Status::InvalidArgument("empty trace");
-  std::vector<std::string> hdr = Split(*line, ' ');
-  if (hdr.size() != 3 || hdr[0] != "trace" || hdr[1] != "v1") {
+  SplitInto(*line, ' ', &tok);
+  if (tok.size() != 3 || tok[0] != "trace" || tok[1] != "v1") {
     return Status::InvalidArgument("bad trace header (expected 'trace v1 <n>')");
   }
   int64_t n_jobs_decl = 0;
-  if (!ParseInt64(hdr[2], &n_jobs_decl).ok() || n_jobs_decl < 0) {
+  if (!ParseInt64(tok[2], &n_jobs_decl).ok() || n_jobs_decl < 0) {
     return Status::InvalidArgument("bad trace header: job count not a number");
   }
   // Every job occupies at least three lines; a declared count beyond that is
@@ -64,38 +70,45 @@ Status ParseTrace(std::string_view text, std::vector<JobInstance>* out) {
   for (size_t j = 0; j < n_jobs; ++j) {
     line = next();
     if (!line) return Status::InvalidArgument("truncated trace: missing beginjob");
-    std::vector<std::string> jh = Split(*line, ' ');
-    if (jh.size() != 7 || jh[0] != "beginjob") {
+    SplitInto(*line, ' ', &tok);
+    if (tok.size() != 7 || tok[0] != "beginjob") {
       return Status::InvalidArgument(
-          StrFormat("job %zu: bad beginjob line '%s'", j, line->c_str()));
+          StrFormat("job %zu: bad beginjob line '%s'", j, std::string(*line).c_str()));
     }
     JobInstance job;
-    if (!ParseInt64(jh[1], &job.job_id).ok() || !ParseInt32(jh[2], &job.template_id).ok() ||
-        !ParseInt32(jh[3], &job.day).ok() || !ParseFiniteDouble(jh[4], &job.submit_time).ok()) {
+    if (!ParseInt64(tok[1], &job.job_id).ok() || !ParseInt32(tok[2], &job.template_id).ok() ||
+        !ParseInt32(tok[3], &job.day).ok() ||
+        !ParseFiniteDouble(tok[4], &job.submit_time).ok()) {
       return Status::InvalidArgument(
-          StrFormat("job %zu: bad beginjob fields '%s'", j, line->c_str()));
+          StrFormat("job %zu: bad beginjob fields '%s'", j, std::string(*line).c_str()));
     }
-    job.job_name = jh[5];
-    job.norm_input_name = jh[6];
+    job.job_name = tok[5];
+    job.norm_input_name = tok[6];
 
-    // Graph block up to 'endgraph'.
-    std::string graph_text;
+    // Graph block up to 'endgraph': its lines are contiguous in `text`, so
+    // the graph parser reads them in place (blank lines in between are
+    // skipped there as here).
+    const char* graph_begin = nullptr;
+    const char* graph_end = nullptr;
     while (true) {
       line = next();
       if (!line) return Status::InvalidArgument("truncated trace: missing endgraph");
       if (*line == "endgraph") break;
-      graph_text += *line;
-      graph_text += '\n';
+      if (graph_begin == nullptr) graph_begin = line->data();
+      graph_end = line->data() + line->size();
     }
-    PHOEBE_RETURN_NOT_OK(
-        dag::JobGraph::FromText(std::string_view(graph_text), &job.graph));
+    const std::string_view graph_text =
+        graph_begin == nullptr
+            ? std::string_view()
+            : std::string_view(graph_begin, static_cast<size_t>(graph_end - graph_begin));
+    PHOEBE_RETURN_NOT_OK(dag::JobGraph::FromText(graph_text, &job.graph));
 
     const size_t n = job.graph.num_stages();
     job.truth.reserve(n);
     for (size_t s = 0; s < n; ++s) {
       line = next();
       if (!line) return Status::InvalidArgument("truncated trace: missing truth");
-      std::vector<std::string> tok = Split(*line, ' ');
+      SplitInto(*line, ' ', &tok);
       if (tok.size() != 10 || tok[0] != "truth") {
         return Status::InvalidArgument(
             StrFormat("job %zu stage %zu: bad truth line", j, s));
@@ -123,7 +136,7 @@ Status ParseTrace(std::string_view text, std::vector<JobInstance>* out) {
     for (size_t s = 0; s < n; ++s) {
       line = next();
       if (!line) return Status::InvalidArgument("truncated trace: missing est");
-      std::vector<std::string> tok = Split(*line, ' ');
+      SplitInto(*line, ' ', &tok);
       if (tok.size() != 6 || tok[0] != "est") {
         return Status::InvalidArgument(
             StrFormat("job %zu stage %zu: bad est line", j, s));

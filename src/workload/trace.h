@@ -3,6 +3,7 @@
 // shipped, and replayed without the generator.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +25,9 @@ namespace phoebe::workload {
 ///
 /// Names must not contain whitespace (generated names never do).
 std::string SerializeTrace(const std::vector<JobInstance>& jobs);
+/// SerializeTrace appended to `*out`, for callers that reuse one buffer or
+/// serialize a single job without copying it into a vector.
+void AppendTrace(std::string* out, std::span<const JobInstance> jobs);
 
 /// Parse a trace produced by SerializeTrace. Validates graph structure and
 /// per-stage array sizes. Sole Status-first entry point: on error `*out`

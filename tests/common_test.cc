@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "common/json.h"
@@ -304,6 +309,128 @@ TEST(StringsTest, ToLower) { EXPECT_EQ(ToLower("AbC_9z"), "abc_9z"); }
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 4, "x"), "4-x");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
+}
+
+TEST(StringsTest, SplitIntoKeepsEmptyPiecesAndReusesItsVector) {
+  std::vector<std::string_view> parts;
+  SplitInto("a,b,,c", ',', &parts);
+  ASSERT_EQ(parts.size(), 4u);
+  EXPECT_EQ(parts[2], "");
+  EXPECT_EQ(parts[3], "c");
+  SplitInto("", ',', &parts);
+  EXPECT_EQ(parts.size(), 1u);
+}
+
+/// AppendDouble's bytes for `v`, for comparison with StrFormat("%.17g").
+std::string Appended(double v) {
+  std::string out = "x";  // appends, never overwrites
+  AppendDouble(&out, v);
+  return out.substr(1);
+}
+
+TEST(NumberCodecTest, AppendDoubleMatchesPrintfOnEdgeValues) {
+  using L = std::numeric_limits<double>;
+  const double edges[] = {0.0,        -0.0,       1.0,         -1.0,        0.1,
+                          0.5,        1e-4,       1e-5,        9.9999e-5,   1e16,
+                          1e17,       9007199254740993.0,      123456789012345678.0,
+                          L::min(),   L::denorm_min(), -L::denorm_min(), 1e-320,
+                          L::max(),   -L::max(),  L::epsilon(), L::infinity(),
+                          -L::infinity(), L::quiet_NaN(), -L::quiet_NaN(), 100.5,
+                          6.7e10,     1.0 / 3.0};
+  for (double v : edges) EXPECT_EQ(Appended(v), StrFormat("%.17g", v)) << Appended(v);
+}
+
+TEST(NumberCodecTest, AppendDoubleMatchesPrintfOnRandomBitPatterns) {
+  // snprintf into a stack buffer is StrFormat's formatting without its two
+  // passes and allocation, which keeps a million values fast under ASan.
+  std::mt19937_64 bits(0x17e5eedull);
+  std::string appended;
+  char printed[64];
+  int mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const uint64_t b = bits();
+    double v;
+    std::memcpy(&v, &b, sizeof(v));
+    appended.clear();
+    AppendDouble(&appended, v);
+    std::snprintf(printed, sizeof(printed), "%.17g", v);
+    if (appended != printed && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << b << ": " << appended << " vs " << printed;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(NumberCodecTest, AppendedDoublesParseBackBitExactly) {
+  std::mt19937_64 bits(7);
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t b = bits();
+    double v;
+    std::memcpy(&v, &b, sizeof(v));
+    if (!std::isfinite(v)) continue;
+    double back = 0.0;
+    ASSERT_TRUE(ParseFiniteDouble(Appended(v), &back).ok()) << Appended(v);
+    uint64_t back_bits;
+    std::memcpy(&back_bits, &back, sizeof(back));
+    EXPECT_EQ(back_bits, b) << Appended(v);
+  }
+}
+
+TEST(NumberCodecTest, ParseFiniteDoubleAcceptsAndRejects) {
+  struct Row {
+    const char* token;
+    bool accepted;
+    double value;  // when accepted
+  };
+  const Row rows[] = {
+      {"-0", true, -0.0},
+      {".5", true, 0.5},
+      {"5.", true, 5.0},
+      {"4.9406564584124654e-324", true, std::numeric_limits<double>::denorm_min()},
+      {"1e999", false, 0},   // overflow
+      {"inf", false, 0},
+      {"nan", false, 0},
+      {" 1", false, 0},      // leading space
+      {"1 ", false, 0},      // trailing space
+      {"+1", false, 0},      // strtod took a leading '+'; from_chars does not
+      {"0x1p3", false, 0},   // hex float: strtod read 8
+      {"1e-400", false, 0},  // underflow: strtod read 0
+      {"", false, 0},
+      {"1e", false, 0},
+  };
+  for (const Row& r : rows) {
+    double v = 42.0;
+    Status st = ParseFiniteDouble(r.token, &v);
+    EXPECT_EQ(st.ok(), r.accepted) << "'" << r.token << "': " << st.ToString();
+    if (r.accepted) {
+      EXPECT_EQ(v, r.value) << r.token;
+      EXPECT_EQ(std::signbit(v), std::signbit(r.value)) << r.token;
+    } else {
+      EXPECT_EQ(v, 42.0) << "out-param written on error for '" << r.token << "'";
+    }
+  }
+}
+
+TEST(NumberCodecTest, StrAppendMatchesPrintf) {
+  std::string out;
+  StrAppend(&out, "job ", size_t{12}, ' ', -7, ' ', int64_t{INT64_MIN}, ' ', 0.1, ' ',
+            std::string("x"), std::string_view("y"), '\n');
+  EXPECT_EQ(out, StrFormat("job %zu %d %lld %.17g xy\n", size_t{12}, -7,
+                           static_cast<long long>(INT64_MIN), 0.1));
+}
+
+TEST(NumberCodecTest, ParseIntegersKeepTheirAcceptedSet) {
+  int64_t v = 0;
+  EXPECT_TRUE(ParseInt64("+5", &v).ok());
+  EXPECT_EQ(v, 5);
+  EXPECT_TRUE(ParseInt64("-9223372036854775808", &v).ok());
+  EXPECT_EQ(v, INT64_MIN);
+  for (const char* bad : {"", "+", "+-5", "++5", " 5", "5 ", "5x", "9223372036854775808"}) {
+    EXPECT_FALSE(ParseInt64(bad, &v).ok()) << "'" << bad << "'";
+  }
+  int32_t w = 0;
+  EXPECT_FALSE(ParseInt32("2147483648", &w).ok());
+  EXPECT_TRUE(ParseInt32("-2147483648", &w).ok());
 }
 
 TEST(StringsTest, Predicates) {

@@ -15,6 +15,7 @@
 #include "core/engine.h"
 #include "core/pipeline.h"
 #include "telemetry/repository.h"
+#include "testing/scratch_dir.h"
 #include "workload/generator.h"
 
 namespace phoebe::core {
@@ -30,8 +31,10 @@ class BundleFixture : public ::testing::Test {
     gen_ = new workload::WorkloadGenerator(cfg);
     repo_ = new telemetry::WorkloadRepository();
     for (int d = 0; d < 4; ++d) repo_->AddDay(d, gen_->GenerateDay(d)).Check();
+    scratch_ = new phoebe::testing::ScratchDir();
   }
   static void TearDownTestSuite() {
+    delete scratch_;
     delete repo_;
     delete gen_;
   }
@@ -54,15 +57,15 @@ class BundleFixture : public ::testing::Test {
     return p;
   }
 
-  static std::string TempPath(const std::string& name) {
-    return ::testing::TempDir() + "/" + name;
-  }
+  static std::string TempPath(const std::string& name) { return scratch_->File(name); }
 
   static workload::WorkloadGenerator* gen_;
   static telemetry::WorkloadRepository* repo_;
+  static phoebe::testing::ScratchDir* scratch_;
 };
 
 workload::WorkloadGenerator* BundleFixture::gen_ = nullptr;
+phoebe::testing::ScratchDir* BundleFixture::scratch_ = nullptr;
 telemetry::WorkloadRepository* BundleFixture::repo_ = nullptr;
 
 /// Every decision input and output compared bit-exactly between two engines

@@ -157,8 +157,8 @@ TEST(FuzzServeTest, ResponsePayloadParserSurvivesCorruption) {
   d.combined.cut.before_cut = {true, true, false, false, false};
   d.cuts.push_back(d.combined.cut);
   std::vector<std::string> seeds = {
-      serve::SerializeDecideResponse(0xabad1deau, d),
-      serve::SerializeDecideResponse(0x0u, std::nullopt),
+      serve::SerializeDecideResponse(0xabad1deau, &d),
+      serve::SerializeDecideResponse(0x0u, nullptr),
   };
   FuzzOptions opt;
   opt.num_inputs = 600;

@@ -16,6 +16,7 @@
 #include "lifecycle/lifecycle.h"
 #include "lifecycle/promotion_log.h"
 #include "lifecycle/shadow.h"
+#include "testing/scratch_dir.h"
 #include "workload/generator.h"
 
 namespace phoebe::lifecycle {
@@ -592,10 +593,8 @@ TEST(LifecycleDriverTest, InvalidConfigFailsFastOnFirstDay) {
 }
 
 TEST(LifecycleDriverTest, WritesParseableArtifactsAndServableBundle) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "phoebe_lifecycle_art")
-          .string();
-  std::filesystem::remove_all(dir);
+  const phoebe::testing::ScratchDir scratch;
+  const std::string dir = scratch.File("lifecycle_art");
 
   auto gen = MakeGen(37);
   telemetry::WorkloadRepository repo;
@@ -643,7 +642,6 @@ TEST(LifecycleDriverTest, WritesParseableArtifactsAndServableBundle) {
           dir + "/" + StrFormat("shadow_day_%03d.diff", rec.day)));
     }
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(LifecycleDriverTest, RetentionEvictsOnlyOutgrownDays) {

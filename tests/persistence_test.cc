@@ -10,6 +10,7 @@
 #include "ml/linear.h"
 #include "ml/mlp.h"
 #include "telemetry/repository.h"
+#include "testing/scratch_dir.h"
 #include "workload/generator.h"
 
 namespace phoebe {
@@ -152,9 +153,8 @@ TEST_F(CorePersistenceTest, TtlEstimatorRoundTrip) {
 }
 
 TEST_F(CorePersistenceTest, PipelineSaveLoadRoundTrip) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "phoebe_persist_test").string();
-  std::filesystem::remove_all(dir);
+  const phoebe::testing::ScratchDir scratch;
+  const std::string dir = scratch.File("persist_test");
   ASSERT_TRUE(pipeline_->Save(dir).ok());
   for (const char* f : {"exec.model", "size.model", "ttl.model", "stats.txt"}) {
     EXPECT_TRUE(std::filesystem::exists(dir + "/" + f)) << f;
@@ -174,17 +174,18 @@ TEST_F(CorePersistenceTest, PipelineSaveLoadRoundTrip) {
     EXPECT_EQ(a->cut.cut.before_cut, b->cut.cut.before_cut);
     EXPECT_DOUBLE_EQ(a->cut.objective, b->cut.objective);
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(CorePersistenceTest, SaveUntrainedFails) {
+  const phoebe::testing::ScratchDir scratch;
   core::PhoebePipeline fresh;
-  EXPECT_FALSE(fresh.Save("/tmp/phoebe_should_not_exist").ok());
+  EXPECT_FALSE(fresh.Save(scratch.File("should_not_exist")).ok());
 }
 
 TEST_F(CorePersistenceTest, LoadFromMissingDirFails) {
+  const phoebe::testing::ScratchDir scratch;
   core::PhoebePipeline fresh;
-  EXPECT_FALSE(fresh.Load("/tmp/phoebe_definitely_missing_dir").ok());
+  EXPECT_FALSE(fresh.Load(scratch.File("definitely_missing_dir")).ok());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 // trace text formats.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "common/rng.h"
 #include "common/strings.h"
@@ -17,6 +16,7 @@
 #include "testing/generators.h"
 #include "testing/oracles.h"
 #include "testing/property.h"
+#include "testing/scratch_dir.h"
 #include "workload/generator.h"
 
 namespace phoebe::testing {
@@ -184,13 +184,13 @@ TEST_F(PipelinePersistenceProperty, PredictorsSerializeToAFixpoint) {
 }
 
 TEST_F(PipelinePersistenceProperty, LoadedPipelinePredictsBitEqualOnUnseenDays) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "phoebe_prop_persist").string();
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(pipeline_->Save(dir).ok());
   core::PhoebePipeline loaded;
-  ASSERT_TRUE(loaded.Load(dir).ok());
-  std::filesystem::remove_all(dir);
+  {
+    const phoebe::testing::ScratchDir scratch;
+    const std::string dir = scratch.File("prop_persist");
+    ASSERT_TRUE(pipeline_->Save(dir).ok());
+    ASSERT_TRUE(loaded.Load(dir).ok());
+  }
 
   // Probe on a day neither pipeline ever saw: predictions, costs, and
   // decisions must be bit-identical for every cost source.

@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "scenario/scenario.h"
+#include "testing/scratch_dir.h"
 
 namespace phoebe::scenario {
 namespace {
@@ -231,9 +231,8 @@ TEST(ScenarioResolveTest, PresetNameThenFileThenError) {
   ResolveScenario("flash-crowd", &spec).Check();
   EXPECT_EQ(spec.name, "flash-crowd");
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "phoebe_scenario_test.scenario")
-          .string();
+  const phoebe::testing::ScratchDir scratch;
+  const std::string path = scratch.File("custom.scenario");
   {
     ScenarioSpec custom;
     custom.name = "my-custom";
@@ -245,7 +244,6 @@ TEST(ScenarioResolveTest, PresetNameThenFileThenError) {
   ResolveScenario(path, &from_file).Check();
   EXPECT_EQ(from_file.name, "my-custom");
   ASSERT_EQ(from_file.events.size(), 1u);
-  std::remove(path.c_str());
 
   ScenarioSpec untouched;
   untouched.name = "sentinel";

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,6 +24,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "telemetry/repository.h"
+#include "testing/scratch_dir.h"
 #include "workload/generator.h"
 
 namespace phoebe::serve {
@@ -46,9 +46,8 @@ class ServeConcurrencyTest : public ::testing::Test {
     core::PhoebePipeline pipeline(cfg);
     pipeline.Train(repo, 0, 3).Check();
 
-    bundle_path_ = new std::string(
-        (std::filesystem::temp_directory_path() / "phoebe_serve_conc.bundle")
-            .string());
+    scratch_ = new phoebe::testing::ScratchDir();
+    bundle_path_ = new std::string(scratch_->File("serve_conc.bundle"));
     pipeline.SaveBundle(*bundle_path_).Check();
     auto loaded = core::PipelineBundle::LoadFromFile(*bundle_path_);
     loaded.status().Check();
@@ -57,17 +56,19 @@ class ServeConcurrencyTest : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
-    std::filesystem::remove(*bundle_path_);
     delete jobs_;
     delete bundle_;
     delete bundle_path_;
+    delete scratch_;
   }
 
+  static phoebe::testing::ScratchDir* scratch_;
   static std::string* bundle_path_;
   static std::shared_ptr<const core::PipelineBundle>* bundle_;
   static std::vector<workload::JobInstance>* jobs_;
 };
 
+phoebe::testing::ScratchDir* ServeConcurrencyTest::scratch_ = nullptr;
 std::string* ServeConcurrencyTest::bundle_path_ = nullptr;
 std::shared_ptr<const core::PipelineBundle>* ServeConcurrencyTest::bundle_ = nullptr;
 std::vector<workload::JobInstance>* ServeConcurrencyTest::jobs_ = nullptr;

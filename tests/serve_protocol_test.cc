@@ -212,7 +212,7 @@ TEST(ServeDecideResponseTest, RoundTripsDecisionAndIneligible) {
   d.cuts.push_back(d.combined.cut);
 
   DecideResponse out;
-  Status st = ParseDecideResponse(SerializeDecideResponse(0xdeadbeefu, d), &out);
+  Status st = ParseDecideResponse(SerializeDecideResponse(0xdeadbeefu, &d), &out);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(out.bundle_checksum, 0xdeadbeefu);
   ASSERT_TRUE(out.decision.has_value());
@@ -222,7 +222,7 @@ TEST(ServeDecideResponseTest, RoundTripsDecisionAndIneligible) {
   EXPECT_EQ(out.decision->cuts[0].before_cut, d.combined.cut.before_cut);
 
   DecideResponse none;
-  st = ParseDecideResponse(SerializeDecideResponse(7, std::nullopt), &none);
+  st = ParseDecideResponse(SerializeDecideResponse(7, nullptr), &none);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(none.bundle_checksum, 7u);
   EXPECT_FALSE(none.decision.has_value());
@@ -236,7 +236,7 @@ TEST(ServeDecideResponseTest, DecisionRecordSharesShardBlobBytes) {
   d.combined.global_bytes = 1e9;
   d.combined.cut.before_cut = {true, false, true};
   d.cuts.push_back(d.combined.cut);
-  const std::string payload = SerializeDecideResponse(1, d);
+  const std::string payload = SerializeDecideResponse(1, &d);
   const std::string record = core::SerializeJobDecisionRecord(0, d);
   ASSERT_NE(payload.find('\n'), std::string::npos);
   EXPECT_EQ(payload.substr(payload.find('\n') + 1), record);

@@ -1364,11 +1364,10 @@ int CmdServe(int argc, char** argv) {
   p.AddString("port-file", "", "write the bound port number to this file "
               "(how scripts find an ephemeral port)");
   p.AddInt("workers", 2, "decide worker threads");
-  p.AddInt("max-batch", 16, "max requests coalesced into one decide batch");
+  p.AddInt("max-batch", 16, "max requests coalesced into one decide batch "
+           "(1 = one request per worker wakeup)");
   p.AddInt("queue-capacity", 256, "bounded request queue capacity (producers "
            "block when full; requests are never dropped)");
-  p.AddBool("no-coalesce", "decide one request per worker wakeup "
-            "(byte-identical responses, more wakeups)");
   p.AddString("metrics", "", "write a cumulative telemetry JSON line to this "
               "file on exit");
   p.AddDouble("max-seconds", 0.0, "exit after this long even without a "
@@ -1399,7 +1398,6 @@ int CmdServe(int argc, char** argv) {
   cfg.num_workers = p.GetInt("workers");
   cfg.max_batch = p.GetInt("max-batch");
   cfg.queue_capacity = p.GetInt("queue-capacity");
-  cfg.coalesce = !p.GetBool("no-coalesce");
   cfg.bundle_path = bundle_path;
   cfg.metrics = registry.get();
   if (Status st = cfg.Validate(); !st.ok()) {
