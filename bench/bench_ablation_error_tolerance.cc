@@ -34,7 +34,7 @@ int main() {
     RunningStats saving, regret, jaccard;
     for (const auto& job : jobs) {
       if (job.graph.num_stages() < 4) continue;
-      auto costs = env.phoebe->BuildCosts(job, core::CostSource::kTruth);
+      auto costs = env.phoebe->engine().BuildCosts(job, core::CostSource::kTruth);
       costs.status().Check();
       auto r = core::EvaluateCutSensitivity(job, *costs, p, &rng);
       r.status().Check();

@@ -28,7 +28,7 @@ int main() {
     }
   }
   PHOEBE_CHECK(job != nullptr);
-  auto costs = env.phoebe->BuildCosts(*job, core::CostSource::kTruth);
+  auto costs = env.phoebe->engine().BuildCosts(*job, core::CostSource::kTruth);
   costs.status().Check();
 
   auto sweep = core::TempStorageSweep(job->graph, *costs);

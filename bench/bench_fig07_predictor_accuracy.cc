@@ -26,8 +26,8 @@ int main() {
   for (const auto& job : jobs) {
     auto exec = env.phoebe->exec_predictor().PredictJob(job, stats);
     auto out = env.phoebe->size_predictor().PredictJob(job, stats);
-    auto costs_stacked = env.phoebe->BuildCosts(job, core::CostSource::kMlStacked, stats);
-    auto costs_raw = env.phoebe->BuildCosts(job, core::CostSource::kMlSimulator, stats);
+    auto costs_stacked = env.phoebe->engine().BuildCosts(job, core::CostSource::kMlStacked, stats);
+    auto costs_raw = env.phoebe->engine().BuildCosts(job, core::CostSource::kMlSimulator, stats);
     costs_stacked.status().Check();
     costs_raw.status().Check();
     for (size_t i = 0; i < job.graph.num_stages(); ++i) {

@@ -15,34 +15,20 @@
 //
 // Usage: bench_lifecycle_soak [--days N] [--templates T] [--seed S]
 //                             [--out-dir DIR]
+// An unknown flag is an error (exit 2).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/argparse.h"
 #include "common/json.h"
 #include "lifecycle/lifecycle.h"
 #include "workload/generator.h"
 
 namespace phoebe::bench {
 namespace {
-
-int ArgInt(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-const char* ArgStr(int argc, char** argv, const char* flag, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 /// Every artifact stream one soak run produces, rendered to the exact bytes
 /// the driver writes under an out_dir.
@@ -117,11 +103,26 @@ SoakArtifacts RunSoak(const char* label, int days, int templates, uint64_t seed,
 }
 
 int Run(int argc, char** argv) {
-  const int days = ArgInt(argc, argv, "--days", 30);
-  const int templates = ArgInt(argc, argv, "--templates", 16);
-  const uint64_t seed =
-      static_cast<uint64_t>(ArgInt(argc, argv, "--seed", 23));
-  const std::string out_dir = ArgStr(argc, argv, "--out-dir", "");
+  ArgParser args("bench_lifecycle_soak",
+                 "The lifecycle loop for --days simulated days, run twice under "
+                 "different thread/cache configs.");
+  args.AddInt("days", 30, "simulated days per run");
+  args.AddInt("templates", 16, "job templates in the generator");
+  args.AddInt("seed", 23, "workload generator seed");
+  args.AddString("out-dir", "",
+                 "write both runs' artifacts under <dir>/runA and <dir>/runB");
+  if (Status st = args.Parse(argc, argv, 1); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
+  if (args.help_requested()) {
+    std::fputs(args.Help().c_str(), stdout);
+    return 0;
+  }
+  const int days = args.GetInt("days");
+  const int templates = args.GetInt("templates");
+  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed"));
+  const std::string out_dir = args.GetString("out-dir");
 
   Banner("lifecycle_soak",
          "30-day continuous-operation soak; two runs under different "

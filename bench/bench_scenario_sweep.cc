@@ -21,16 +21,16 @@
 //
 // Usage: bench_scenario_sweep [--days N] [--templates T] [--seed S]
 //                             [--out-dir DIR]
+// An unknown flag is an error (exit 2).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/argparse.h"
 #include "common/json.h"
 #include "core/engine.h"
 #include "core/fleet.h"
@@ -41,20 +41,6 @@
 
 namespace phoebe::bench {
 namespace {
-
-int ArgInt(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-const char* ArgStr(int argc, char** argv, const char* flag, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 /// Everything one lifecycle pass under one scenario produces.
 struct LoopArtifacts {
@@ -194,10 +180,26 @@ void WriteRow(JsonWriter* json, const SweepRow& row) {
 }
 
 int Run(int argc, char** argv) {
-  const int days = ArgInt(argc, argv, "--days", 10);
-  const int templates = ArgInt(argc, argv, "--templates", 12);
-  const uint64_t seed = static_cast<uint64_t>(ArgInt(argc, argv, "--seed", 23));
-  const std::string out_dir = ArgStr(argc, argv, "--out-dir", "");
+  ArgParser args("bench_scenario_sweep",
+                 "Every hostile-workload preset through the lifecycle loop, run "
+                 "twice under different thread/cache configs.");
+  args.AddInt("days", 10, "simulated days per run");
+  args.AddInt("templates", 12, "job templates in the generator");
+  args.AddInt("seed", 23, "workload generator seed");
+  args.AddString("out-dir", "",
+                 "write each scenario's JSON row to <dir>/scenario_<name>.json");
+  if (Status st = args.Parse(argc, argv, 1); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
+  if (args.help_requested()) {
+    std::fputs(args.Help().c_str(), stdout);
+    return 0;
+  }
+  const int days = args.GetInt("days");
+  const int templates = args.GetInt("templates");
+  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed"));
+  const std::string out_dir = args.GetString("out-dir");
 
   // Banner on stderr: stdout carries exactly one JSON document.
   std::fprintf(stderr,

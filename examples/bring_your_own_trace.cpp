@@ -3,8 +3,8 @@
 // Production users do not have this repo's workload generator — they have
 // traces. This example writes a trace file (here produced by the generator,
 // in practice exported from your engine's telemetry), then runs the whole
-// lifecycle from the trace alone: parse -> repository -> train -> persist the
-// models -> reload them in a fresh process-like pipeline -> decide.
+// lifecycle from the trace alone: parse -> repository -> train -> save the
+// bundle -> reload it in a fresh process-like pipeline -> decide.
 //
 //   $ ./build/examples/bring_your_own_trace [trace-file]
 #include <cstdio>
@@ -58,32 +58,33 @@ int main(int argc, char** argv) {
     last_day = day;
   }
 
-  // --- 3. Train on all but the last day; persist the models.
+  // --- 3. Train on all but the last day; save the checksummed bundle.
   core::PhoebePipeline phoebe;
   phoebe.Train(repo, 0, last_day).Check();
-  const std::string model_dir = "/tmp/phoebe_example_models";
-  phoebe.Save(model_dir).Check();
-  std::printf("trained on days 0..%d and saved models to %s/\n", last_day - 1,
-              model_dir.c_str());
+  const std::string bundle_path = "/tmp/phoebe_example.phoebe";
+  phoebe.SaveBundle(bundle_path).Check();
+  std::printf("trained on days 0..%d and saved the bundle to %s\n", last_day - 1,
+              bundle_path.c_str());
 
-  // --- 4. A "fresh deployment" loads the models and serves decisions.
+  // --- 4. A "fresh deployment" loads the bundle and serves decisions.
   core::PhoebePipeline deployed;
-  deployed.Load(model_dir).Check();
+  deployed.LoadBundle(bundle_path).Check();
   const auto& serve_jobs = repo.Day(last_day);
   double saving = 0.0, total = 0.0;
   int checkpointed = 0;
   for (const auto& job : serve_jobs) {
     if (job.graph.num_stages() < 2) continue;
-    auto decision = deployed.Decide(job, core::Objective::kTempStorage);
+    auto decision =
+        deployed.engine().DecideJob(job, deployed.inference_stats(), {});
     decision.status().Check();
     total += job.TempByteSeconds();
-    if (!decision->cut.cut.empty()) {
+    if (!decision->combined.cut.empty()) {
       ++checkpointed;
-      saving += core::RealizedTempSaving(job, decision->cut.cut) *
+      saving += core::RealizedTempSaving(job, decision->combined.cut) *
                 job.TempByteSeconds();
     }
   }
-  std::printf("served day %d from the loaded models: %d/%zu jobs checkpointed, "
+  std::printf("served day %d from the loaded bundle: %d/%zu jobs checkpointed, "
               "%.1f%% of temp byte-hours cleared early\n",
               last_day, checkpointed, serve_jobs.size(), 100.0 * saving / total);
   return 0;

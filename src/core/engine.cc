@@ -174,58 +174,6 @@ Status DecisionEngine::BuildCostsInto(const workload::JobInstance& job,
   return Status::OK();
 }
 
-Result<PipelineDecision> DecisionEngine::Decide(const workload::JobInstance& job,
-                                                Objective objective,
-                                                CostSource source) const {
-  DecideScratch scratch;
-  PipelineDecision decision;
-  PHOEBE_RETURN_NOT_OK(DecideInto(job, objective, source, &scratch, &decision));
-  return decision;
-}
-
-Status DecisionEngine::DecideInto(const workload::JobInstance& job,
-                                  Objective objective, CostSource source,
-                                  DecideScratch* scratch,
-                                  PipelineDecision* out) const {
-  using Clock = std::chrono::steady_clock;
-
-  auto t0 = Clock::now();
-  // Metadata/model lookup: resolve stats entries for every stage type in the
-  // plan (in production this is the Workload Insight Service round trip).
-  for (size_t i = 0; i < job.graph.num_stages(); ++i) {
-    (void)bundle_->stats().Get(job.template_id,
-                               job.graph.stage(static_cast<int>(i)).stage_type);
-  }
-  auto t1 = Clock::now();
-
-  PHOEBE_RETURN_NOT_OK(
-      BuildCostsInto(job, source, bundle_->stats(), scratch, &scratch->costs));
-  auto t2 = Clock::now();
-
-  switch (objective) {
-    case Objective::kTempStorage: {
-      PHOEBE_RETURN_NOT_OK(OptimizeTempStorageInto(job.graph, scratch->costs,
-                                                   &scratch->checkpoint, &out->cut));
-      break;
-    }
-    case Objective::kRecovery: {
-      PHOEBE_RETURN_NOT_OK(OptimizeRecoveryInto(job.graph, scratch->costs,
-                                                bundle_->delta(), &scratch->checkpoint,
-                                                &out->cut));
-      break;
-    }
-  }
-  auto t3 = Clock::now();
-
-  auto secs = [](auto a, auto b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-  out->lookup_seconds = secs(t0, t1);
-  out->scoring_seconds = secs(t1, t2);
-  out->optimize_seconds = secs(t2, t3);
-  return Status::OK();
-}
-
 Result<FleetDecision> DecisionEngine::DecideJob(const workload::JobInstance& job,
                                                 const telemetry::HistoricStats& stats,
                                                 const DecideOptions& options) const {

@@ -24,14 +24,6 @@
 
 namespace phoebe::core {
 
-/// \brief A compile-time checkpoint decision with overhead breakdown (§6.4).
-struct PipelineDecision {
-  CutResult cut;
-  double lookup_seconds = 0.0;    ///< metadata/model lookup
-  double scoring_seconds = 0.0;   ///< ML scoring + schedule simulation
-  double optimize_seconds = 0.0;  ///< cut search
-};
-
 /// \brief One job's full decision: the combined (reported) cut plus the
 /// nested cut sets in physical, innermost-first order. This is the value the
 /// fleet template cache stores and the shard protocol serializes.
@@ -63,8 +55,8 @@ struct JobDecision {
 /// state at once (every stage row of every job in one feature matrix, and
 /// per-row exec / size / TTL estimates), one job's stage costs, its
 /// simulated schedule, and the optimizer tables — so once warm (sized by the
-/// largest batch and widest job seen), a steady-state DecideJobInto,
-/// DecideInto or DecideJobsInto performs zero heap allocations. Never share
+/// largest batch and widest job seen), a steady-state DecideJobInto or
+/// DecideJobsInto performs zero heap allocations. Never share
 /// one arena between concurrent calls; results are bit-identical regardless
 /// of which arena (or how warm an arena) served a job.
 struct DecideScratch {
@@ -131,16 +123,6 @@ class DecisionEngine {
   Status BuildCostsInto(const workload::JobInstance& job, CostSource source,
                         const telemetry::HistoricStats& stats, DecideScratch* scratch,
                         StageCosts* out) const;
-
-  /// Full compile-time decision for one job, with timing breakdown.
-  Result<PipelineDecision> Decide(const workload::JobInstance& job, Objective objective,
-                                  CostSource source = CostSource::kMlStacked) const;
-
-  /// Decide onto a scratch arena; `*out` is fully overwritten. Bit-identical
-  /// to Decide (timing fields aside, which measure wall time either way).
-  Status DecideInto(const workload::JobInstance& job, Objective objective,
-                    CostSource source, DecideScratch* scratch,
-                    PipelineDecision* out) const;
 
   /// Per-job fleet decision under an explicit context: BuildCosts + the
   /// objective's optimizer, including the multi-cut physical semantics (the

@@ -9,8 +9,8 @@ namespace phoebe::core {
 
 namespace {
 
-/// Cost source of a deterministic approach (shared by BackTester and the
-/// arm-based evaluator; kRandom also maps here for the member ChooseCut).
+/// Cost source of an approach (shared by BackTester and the arm-based
+/// evaluator).
 CostSource ApproachSource(Approach approach) {
   switch (approach) {
     case Approach::kOptimal: return CostSource::kTruth;
@@ -96,27 +96,18 @@ BackTester::BackTester(const DecisionEngine* engine, double mtbf_seconds,
   PHOEBE_CHECK(mtbf_seconds > 0.0);
 }
 
-CostSource BackTester::SourceFor(Approach approach) const {
-  return ApproachSource(approach);
-}
-
 Result<CutResult> BackTester::ChooseCut(const workload::JobInstance& job,
                                         Approach approach, Objective objective,
                                         const telemetry::HistoricStats& stats) {
-  PHOEBE_ASSIGN_OR_RETURN(StageCosts costs,
-                          engine_->BuildCosts(job, SourceFor(approach), stats));
-  switch (approach) {
-    case Approach::kRandom:
-      return RandomCut(job.graph, costs, &rng_);
-    case Approach::kMidPoint:
-      return MidPointCut(job.graph, costs);
-    default:
-      break;
+  const CostSource source = ApproachSource(approach);
+  if (approach == Approach::kRandom || approach == Approach::kMidPoint) {
+    PHOEBE_ASSIGN_OR_RETURN(StageCosts costs, engine_->BuildCosts(job, source, stats));
+    if (approach == Approach::kRandom) return RandomCut(job.graph, costs, &rng_);
+    return MidPointCut(job.graph, costs);
   }
-  if (objective == Objective::kTempStorage) {
-    return OptimizeTempStorage(job.graph, costs);
-  }
-  return OptimizeRecovery(job.graph, costs, engine_->delta());
+  PHOEBE_ASSIGN_OR_RETURN(FleetDecision decision,
+                          engine_->DecideJob(job, stats, {objective, source, 1}));
+  return std::move(decision.combined);
 }
 
 Result<std::map<Approach, RunningStats>> BackTester::EvaluateTempStorage(
@@ -194,33 +185,48 @@ Result<std::vector<RunningStats>> EvaluateApproachArms(
   if (mtbf_seconds <= 0.0) {
     return Status::InvalidArgument("mtbf_seconds must be > 0");
   }
-  std::vector<RunningStats> out(engines.size());
+  std::vector<const workload::JobInstance*> eligible;
   for (const workload::JobInstance& job : jobs) {
-    if (job.graph.num_stages() < 2) continue;
-    // Job-level work shared across arms: the eligibility check above and,
-    // for recovery, the failure model over the true schedule.
+    if (job.graph.num_stages() >= 2) eligible.push_back(&job);
+  }
+  const CostSource source = ApproachSource(approach);
+  // Optimizer approaches: each arm decides the whole day in one batched call
+  // (one model call per serving model), exactly as the fleet does.
+  std::vector<std::vector<JobDecision>> decided(engines.size());
+  if (approach != Approach::kMidPoint) {
+    DecideScratch scratch;
+    for (size_t k = 0; k < engines.size(); ++k) {
+      decided[k].resize(eligible.size());
+      engines[k]->DecideJobsInto(eligible, stats, {objective, source, 1}, &scratch,
+                                 decided[k]);
+    }
+  }
+  // Savings are added in job order, and the first failure in (job, arm)
+  // order is the one returned.
+  std::vector<RunningStats> out(engines.size());
+  for (size_t j = 0; j < eligible.size(); ++j) {
+    const workload::JobInstance& job = *eligible[j];
+    // Job-level work shared across arms: for recovery, the failure model
+    // over the true schedule.
     std::optional<cluster::FailureModel> failure;
     if (objective != Objective::kTempStorage) {
       failure.emplace(job, mtbf_seconds);
     }
     for (size_t k = 0; k < engines.size(); ++k) {
-      const DecisionEngine* engine = engines[k];
-      PHOEBE_ASSIGN_OR_RETURN(
-          StageCosts costs,
-          engine->BuildCosts(job, ApproachSource(approach), stats));
-      CutResult cut;
+      CutResult mid_point;
+      const cluster::CutSet* cut = &mid_point.cut;
       if (approach == Approach::kMidPoint) {
-        PHOEBE_ASSIGN_OR_RETURN(cut, MidPointCut(job.graph, costs));
-      } else if (objective == Objective::kTempStorage) {
-        PHOEBE_ASSIGN_OR_RETURN(cut, OptimizeTempStorage(job.graph, costs));
+        PHOEBE_ASSIGN_OR_RETURN(StageCosts costs,
+                                engines[k]->BuildCosts(job, source, stats));
+        PHOEBE_ASSIGN_OR_RETURN(mid_point, MidPointCut(job.graph, costs));
       } else {
-        PHOEBE_ASSIGN_OR_RETURN(cut,
-                                OptimizeRecovery(job.graph, costs, engine->delta()));
+        PHOEBE_RETURN_NOT_OK(decided[k][j].status);
+        cut = &decided[k][j].decision.combined.cut;
       }
       if (objective == Objective::kTempStorage) {
-        out[k].Add(RealizedTempSaving(job, cut.cut));
+        out[k].Add(RealizedTempSaving(job, *cut));
       } else {
-        out[k].Add(failure->RestartSavingFraction(cut.cut));
+        out[k].Add(failure->RestartSavingFraction(*cut));
       }
     }
   }

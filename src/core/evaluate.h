@@ -49,7 +49,9 @@ class BackTester {
   BackTester(const DecisionEngine* engine, double mtbf_seconds, uint64_t seed = 2024);
 
   /// Choose a cut for `job` with `approach` toward `objective`. Uses the
-  /// given stats view for ML scoring.
+  /// given stats view for ML scoring. The optimizer approaches decide through
+  /// DecisionEngine::DecideJob (single cut); Random and Mid-Point place their
+  /// cut on the job's BuildCosts.
   Result<CutResult> ChooseCut(const workload::JobInstance& job, Approach approach,
                               Objective objective,
                               const telemetry::HistoricStats& stats);
@@ -80,21 +82,20 @@ class BackTester {
       Objective objective);
 
  private:
-  CostSource SourceFor(Approach approach) const;
-
   const DecisionEngine* engine_;
   double mtbf_seconds_;
   Rng rng_;
 };
 
-/// Realized saving of one deterministic approach under N engines in a single
-/// pass over the jobs — the arm-based form of BackTester::EvaluateApproach
-/// the lifecycle canary uses to cost incumbent and candidate against
-/// identical inputs. Per job, the eligibility check and (for the recovery
-/// objective) the FailureModel are computed once and shared by every arm, so
-/// an N-arm call does one generation pass instead of N. Entry k of the
-/// result aggregates engine k's realized savings; each entry is bit-exactly
-/// what a standalone EvaluateApproach under that engine returns.
+/// Realized saving of one deterministic approach under N engines — the
+/// arm-based form of BackTester::EvaluateApproach the lifecycle canary uses
+/// to cost incumbent and candidate against identical inputs. The optimizer
+/// approaches decide each arm's jobs with one DecisionEngine::DecideJobsInto
+/// call (Mid-Point positions its cut on each job's BuildCosts); per job, the
+/// eligibility check and (for the recovery objective) the FailureModel are
+/// computed once and shared by every arm. Entry k of the result aggregates
+/// engine k's realized savings in job order; each entry is bit-exactly what
+/// a standalone EvaluateApproach under that engine returns.
 /// Approach::kRandom is rejected (its cut draws consume a per-tester rng
 /// stream that a shared pass cannot replay per arm).
 Result<std::vector<RunningStats>> EvaluateApproachArms(

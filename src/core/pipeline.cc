@@ -1,9 +1,6 @@
 #include "core/pipeline.h"
 
 #include <deque>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -61,59 +58,6 @@ Status PhoebePipeline::Train(const telemetry::WorkloadRepository& repo, int firs
   engine_ = DecisionEngine(std::make_shared<const PipelineBundle>(
       config_, std::move(exec), std::move(size), std::move(ttl),
       repo.StatsBefore(first_day + num_days)));
-  return Status::OK();
-}
-
-namespace {
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream f(path);
-  if (!f) return Status::IoError("cannot open for write: " + path);
-  f << content;
-  if (!f.good()) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream out;
-  out << f.rdbuf();
-  return out.str();
-}
-
-}  // namespace
-
-Status PhoebePipeline::Save(const std::string& dir) const {
-  const PipelineBundle& b = engine_.bundle();
-  if (!b.trained()) return Status::FailedPrecondition("pipeline not trained");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return Status::IoError("cannot create directory: " + dir);
-  PHOEBE_RETURN_NOT_OK(WriteFile(dir + "/exec.model", b.exec_predictor().ToText()));
-  PHOEBE_RETURN_NOT_OK(WriteFile(dir + "/size.model", b.size_predictor().ToText()));
-  PHOEBE_RETURN_NOT_OK(WriteFile(dir + "/ttl.model", b.ttl_estimator().ToText()));
-  PHOEBE_RETURN_NOT_OK(WriteFile(dir + "/stats.txt", b.stats().ToText()));
-  return Status::OK();
-}
-
-Status PhoebePipeline::Load(const std::string& dir) {
-  PHOEBE_ASSIGN_OR_RETURN(std::string exec_text, ReadFile(dir + "/exec.model"));
-  PHOEBE_ASSIGN_OR_RETURN(std::string size_text, ReadFile(dir + "/size.model"));
-  PHOEBE_ASSIGN_OR_RETURN(std::string ttl_text, ReadFile(dir + "/ttl.model"));
-  PHOEBE_ASSIGN_OR_RETURN(std::string stats_text, ReadFile(dir + "/stats.txt"));
-  auto exec = std::make_unique<StageCostPredictor>(config_.exec_predictor,
-                                                   Target::kExecSeconds);
-  auto size = std::make_unique<StageCostPredictor>(config_.size_predictor,
-                                                   Target::kOutputBytes);
-  auto ttl = std::make_unique<TtlEstimator>(config_.ttl);
-  PHOEBE_RETURN_NOT_OK(exec->LoadFromText(exec_text));
-  PHOEBE_RETURN_NOT_OK(size->LoadFromText(size_text));
-  PHOEBE_RETURN_NOT_OK(ttl->LoadFromText(ttl_text));
-  PHOEBE_ASSIGN_OR_RETURN(telemetry::HistoricStats stats,
-                          telemetry::HistoricStats::FromText(stats_text));
-  engine_ = DecisionEngine(std::make_shared<const PipelineBundle>(
-      config_, std::move(exec), std::move(size), std::move(ttl), std::move(stats)));
   return Status::OK();
 }
 

@@ -3,11 +3,10 @@
 // costs, simulate the schedule, stack the TTL, and pick the checkpoint cut.
 //
 // The pipeline is the *train-time* half of the train/serve split: Train (or
-// Load/LoadBundle) produces an immutable PipelineBundle, and all decide-path
-// reads go through the pipeline's DecisionEngine view of it (`engine()`).
-// The inference accessors and BuildCosts/Decide below delegate to that
-// engine, so the serving code path is identical whether callers hold a
-// pipeline or a bare engine over a loaded bundle.
+// LoadBundle) produces an immutable PipelineBundle, and every decide-path
+// read goes through the pipeline's DecisionEngine view of it (`engine()`),
+// so the serving code path is identical whether callers hold a pipeline or a
+// bare engine over a loaded bundle.
 #pragma once
 
 #include <memory>
@@ -20,11 +19,11 @@ namespace phoebe::core {
 
 /// \brief Trained Phoebe instance.
 ///
-/// Thread-safety: the pipeline is logically const after Train (or Load)
-/// returns — trained state lives in an immutable PipelineBundle, and every
-/// inference entry point delegates to the const-only DecisionEngine, so
-/// concurrent inference calls on one trained pipeline are safe
-/// (core_fleet_parallel_test pins this under TSan). Train, Load and
+/// Thread-safety: the pipeline is logically const after Train (or
+/// LoadBundle) returns — trained state lives in an immutable PipelineBundle,
+/// and every inference entry point goes through the const-only
+/// DecisionEngine, so concurrent inference calls on one trained pipeline are
+/// safe (core_fleet_parallel_test pins this under TSan). Train and
 /// LoadBundle swap the bundle and must not overlap any inference call or
 /// outstanding engine() use.
 class PhoebePipeline {
@@ -42,7 +41,7 @@ class PhoebePipeline {
   bool trained() const { return engine_.trained(); }
 
   /// The const-only serving view over the current bundle. The reference
-  /// stays valid across Train/Load (the engine object is re-seated in
+  /// stays valid across Train/LoadBundle (the engine object is re-seated in
   /// place), but must not be *used* while one of the mutators runs.
   const DecisionEngine& engine() const { return engine_; }
 
@@ -64,33 +63,6 @@ class PhoebePipeline {
     return engine_.bundle().ttl_estimator();
   }
   double delta() const { return engine_.delta(); }
-
-  /// Build the optimizer inputs for one job under a cost source, using only
-  /// compile-time information (plus truth for the kTruth oracle).
-  Result<StageCosts> BuildCosts(const workload::JobInstance& job,
-                                CostSource source) const {
-    return engine_.BuildCosts(job, source);
-  }
-  /// Same, with an explicit historic-stats view (e.g. for later days).
-  Result<StageCosts> BuildCosts(const workload::JobInstance& job, CostSource source,
-                                const telemetry::HistoricStats& stats) const {
-    return engine_.BuildCosts(job, source, stats);
-  }
-
-  /// Full compile-time decision for one job.
-  Result<PipelineDecision> Decide(const workload::JobInstance& job, Objective objective,
-                                  CostSource source = CostSource::kMlStacked) const {
-    return engine_.Decide(job, objective, source);
-  }
-
-  /// Persist the trained models plus the inference-time statistics snapshot
-  /// to `dir` (created if missing): exec.model, size.model, ttl.model,
-  /// stats.txt. Load restores them into a pipeline constructed with the same
-  /// configuration (model kind / feature groups must match). Prefer the
-  /// single-file bundle (SaveBundle/LoadBundle) for new code — it carries
-  /// the config and is integrity-checked.
-  Status Save(const std::string& dir) const;
-  Status Load(const std::string& dir);
 
   /// Persist / restore the single-file versioned bundle (see core/bundle.h).
   /// LoadBundle replaces this pipeline's config with the bundle's.

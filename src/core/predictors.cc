@@ -251,7 +251,8 @@ Status StageCostPredictor::LoadFromText(const std::string& text) {
     return Status::FailedPrecondition("serialized feature width does not match");
   }
   size_t n_types = static_cast<size_t>(std::atoll(hdr[4].c_str()));
-  double general_cal = std::atof(hdr[5].c_str());
+  double general_cal = 0.0;
+  PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(hdr[5], &general_cal));
 
   while (i < lines.size() && lines[i].empty()) ++i;
   if (i >= lines.size() || lines[i] != "general_model") {
@@ -279,7 +280,8 @@ Status StageCostPredictor::LoadFromText(const std::string& text) {
       return Status::InvalidArgument("bad type model header");
     }
     int type = std::atoi(th[1].c_str());
-    double cal = std::atof(th[2].c_str());
+    double cal = 0.0;
+    PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(th[2], &cal));
     PHOEBE_ASSIGN_OR_RETURN(std::string block, TakeModelBlock(lines, &i));
     PHOEBE_ASSIGN_OR_RETURN(ml::GbdtRegressor m, ml::GbdtRegressor::FromText(block));
     per_type_.emplace(type, std::move(m));

@@ -480,7 +480,7 @@ Status GbdtRegressor::FromText(std::string_view text, GbdtRegressor* out) {
       return Status::InvalidArgument("bad gbdt header");
     model.num_features_ = static_cast<size_t>(std::atoll(tok[1].c_str()));
     size_t n_trees = static_cast<size_t>(std::atoll(tok[2].c_str()));
-    model.base_score_ = std::atof(tok[3].c_str());
+    PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(tok[3], &model.base_score_));
     model.trees_.reserve(n_trees);
     for (size_t t = 0; t < n_trees; ++t) {
       line = next();
@@ -499,10 +499,10 @@ Status GbdtRegressor::FromText(std::string_view text, GbdtRegressor* out) {
           return Status::InvalidArgument("bad node line");
         TreeNode n;
         n.feature = std::atoi(tn[1].c_str());
-        n.threshold = std::atof(tn[2].c_str());
+        PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(tn[2], &n.threshold));
         n.left = std::atoi(tn[3].c_str());
         n.right = std::atoi(tn[4].c_str());
-        n.value = std::atof(tn[5].c_str());
+        PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(tn[5], &n.value));
         tree.nodes.push_back(n);
       }
       model.trees_.push_back(std::move(tree));

@@ -147,7 +147,7 @@ Status RidgeRegressor::FromText(std::string_view text, RidgeRegressor* out) {
   }
   RidgeRegressor model;
   size_t n = static_cast<size_t>(std::atoll(hdr[1].c_str()));
-  model.intercept_ = std::atof(hdr[2].c_str());
+  PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(hdr[2], &model.intercept_));
   model.weights_.reserve(n);
   for (size_t k = 0; k < n; ++k) {
     while (i < lines.size() && lines[i].empty()) ++i;
@@ -156,7 +156,9 @@ Status RidgeRegressor::FromText(std::string_view text, RidgeRegressor* out) {
     if (tok.size() != 2 || tok[0] != "w") {
       return Status::InvalidArgument("bad ridge weight line");
     }
-    model.weights_.push_back(std::atof(tok[1].c_str()));
+    double w = 0.0;
+    PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(tok[1], &w));
+    model.weights_.push_back(w);
   }
   model.fitted_ = true;
   *out = std::move(model);

@@ -285,8 +285,8 @@ Status MlpRegressor::FromText(std::string_view text, MlpRegressor* out) {
   MlpRegressor model;
   size_t nf = static_cast<size_t>(std::atoll(hdr[1].c_str()));
   size_t nl = static_cast<size_t>(std::atoll(hdr[2].c_str()));
-  model.y_mean_ = std::atof(hdr[3].c_str());
-  model.y_std_ = std::atof(hdr[4].c_str());
+  PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(hdr[3], &model.y_mean_));
+  PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(hdr[4], &model.y_std_));
   for (size_t f = 0; f < nf; ++f) {
     line = next();
     if (!line) return Status::InvalidArgument("truncated mlp norms");
@@ -294,8 +294,11 @@ Status MlpRegressor::FromText(std::string_view text, MlpRegressor* out) {
     if (tok.size() != 3 || tok[0] != "norm") {
       return Status::InvalidArgument("bad mlp norm line");
     }
-    model.x_mean_.push_back(std::atof(tok[1].c_str()));
-    model.x_std_.push_back(std::atof(tok[2].c_str()));
+    double mean = 0.0, sd = 0.0;
+    PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(tok[1], &mean));
+    PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(tok[2], &sd));
+    model.x_mean_.push_back(mean);
+    model.x_std_.push_back(sd);
   }
   for (size_t l = 0; l < nl; ++l) {
     line = next();
@@ -315,12 +318,12 @@ Status MlpRegressor::FromText(std::string_view text, MlpRegressor* out) {
     for (size_t k = 0; k < nw; ++k) {
       line = next();
       if (!line) return Status::InvalidArgument("truncated mlp weights");
-      layer.w.push_back(std::atof(line->c_str()));
+      PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(*line, &layer.w.emplace_back()));
     }
     for (int k = 0; k < layer.out; ++k) {
       line = next();
       if (!line) return Status::InvalidArgument("truncated mlp biases");
-      layer.b.push_back(std::atof(line->c_str()));
+      PHOEBE_RETURN_NOT_OK(ParseFiniteDouble(*line, &layer.b.emplace_back()));
     }
     model.layers_.push_back(std::move(layer));
   }

@@ -114,9 +114,11 @@ Status HistoricStats::FromText(std::string_view text, HistoricStats* out) {
   auto parse_acc = [](const std::vector<std::string>& tok, size_t base,
                       Acc* out) -> bool {
     if (tok.size() != base + 4) return false;
-    out->sum_exec = std::atof(tok[base].c_str());
-    out->sum_output = std::atof(tok[base + 1].c_str());
-    out->sum_ttl = std::atof(tok[base + 2].c_str());
+    if (!ParseFiniteDouble(tok[base], &out->sum_exec).ok() ||
+        !ParseFiniteDouble(tok[base + 1], &out->sum_output).ok() ||
+        !ParseFiniteDouble(tok[base + 2], &out->sum_ttl).ok()) {
+      return false;
+    }
     out->n = std::atoll(tok[base + 3].c_str());
     return true;
   };

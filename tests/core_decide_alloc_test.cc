@@ -1,6 +1,6 @@
 // Allocation-count gate for the zero-alloc decide path: with a warm
 // per-worker DecideScratch arena and a reused FleetDecision, steady-state
-// DecideJobInto/DecideInto — and the batched DecideJobsInto on the same
+// DecideJobInto — and the batched DecideJobsInto on the same
 // arena type — must perform ZERO heap allocations, for every cost source and
 // both objectives. The gate counts through replacement
 // global operator new/delete, so any hidden vector growth, string build, or
@@ -161,29 +161,6 @@ TEST_F(DecideAllocGateTest, DecideJobIntoIsAllocFreeWhenWarm) {
         (void)allocs;
 #endif
       }
-    }
-  }
-}
-
-TEST_F(DecideAllocGateTest, DecideIntoIsAllocFreeWhenWarm) {
-  const DecisionEngine& engine = pipeline_->engine();
-  auto jobs = EligibleJobs(2);
-  ASSERT_FALSE(jobs.empty());
-  DecideScratch scratch;
-  PipelineDecision out;
-  for (CostSource source : kAllSources) {
-    for (const workload::JobInstance* job : jobs) {
-      const long long allocs = SteadyStateAllocs(25, [&] {
-        Status st =
-            engine.DecideInto(*job, Objective::kTempStorage, source, &scratch, &out);
-        ASSERT_TRUE(st.ok()) << st.ToString();
-      });
-#if PHOEBE_ALLOC_GATE_ACTIVE
-      EXPECT_EQ(allocs, 0) << "source=" << CostSourceToken(source) << " job "
-                           << job->job_id << ": steady-state DecideInto allocated";
-#else
-      (void)allocs;
-#endif
     }
   }
 }

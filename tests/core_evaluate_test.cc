@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 
+#include "cluster/failure.h"
 #include "core/evaluate.h"
 #include "core/pipeline.h"
 #include "telemetry/repository.h"
@@ -179,6 +180,81 @@ TEST_F(BackTesterTest, RecoverySavingsStayInRange) {
     EXPECT_EQ(s.count(), NumEvalJobs()) << ApproachName(a);
     EXPECT_GE(s.min(), 0.0) << ApproachName(a);
     EXPECT_LE(s.max(), 1.0) << ApproachName(a);
+  }
+}
+
+/// One-job reference for the batched back-test: BuildCosts + the approach's
+/// optimizer per job, savings added in job order.
+RunningStats ReferenceSaving(const DecisionEngine& engine,
+                             const std::vector<workload::JobInstance>& jobs,
+                             const telemetry::HistoricStats& stats, Approach approach,
+                             Objective objective, double mtbf_seconds) {
+  CostSource source = CostSource::kMlSimulator;  // Mid-Point, OML
+  if (approach == Approach::kOptimal) source = CostSource::kTruth;
+  if (approach == Approach::kOptimizerEst) source = CostSource::kOptimizerEstimates;
+  if (approach == Approach::kConstant) source = CostSource::kConstant;
+  if (approach == Approach::kMlStacked) source = CostSource::kMlStacked;
+  RunningStats out;
+  for (const workload::JobInstance& job : jobs) {
+    if (job.graph.num_stages() < 2) continue;
+    Result<StageCosts> costs = engine.BuildCosts(job, source, stats);
+    PHOEBE_CHECK(costs.ok());
+    Result<CutResult> cut =
+        approach == Approach::kMidPoint     ? MidPointCut(job.graph, *costs)
+        : objective == Objective::kRecovery ? OptimizeRecovery(job.graph, *costs,
+                                                               engine.delta())
+                                            : OptimizeTempStorage(job.graph, *costs);
+    PHOEBE_CHECK(cut.ok());
+    if (objective == Objective::kTempStorage) {
+      out.Add(RealizedTempSaving(job, cut->cut));
+    } else {
+      out.Add(cluster::FailureModel(job, mtbf_seconds).RestartSavingFraction(cut->cut));
+    }
+  }
+  return out;
+}
+
+// The batched back-test (one DecideJobsInto per arm) and the per-job
+// ChooseCut path both equal the one-job reference bit for bit, for every
+// deterministic approach, both objectives, and two arms over different
+// bundles.
+TEST_F(BackTesterTest, BatchedBacktestMatchesOneJobReference) {
+  PhoebePipeline other;
+  ASSERT_TRUE(other.Train(*repo_, 1, 2).ok());
+  ASSERT_NE(other.bundle()->checksum(), pipeline_->bundle()->checksum());
+  const std::vector<const DecisionEngine*> engines = {&pipeline_->engine(),
+                                                      &other.engine()};
+  const double mtbf = 6 * 3600.0;
+  auto stats = repo_->StatsBefore(4);
+  for (Objective objective : {Objective::kTempStorage, Objective::kRecovery}) {
+    BackTester tester(&pipeline_->engine(), mtbf);
+    auto swept = objective == Objective::kTempStorage
+                     ? tester.EvaluateTempStorage(*eval_jobs_, stats)
+                     : tester.EvaluateRecovery(*eval_jobs_, stats);
+    ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+    for (Approach approach : AllApproaches()) {
+      if (approach == Approach::kRandom) continue;
+      SCOPED_TRACE(ApproachName(approach) + " objective " +
+                   std::to_string(static_cast<int>(objective)));
+      auto arms = EvaluateApproachArms(engines, *eval_jobs_, stats, approach,
+                                       objective, mtbf);
+      ASSERT_TRUE(arms.ok()) << arms.status().ToString();
+      ASSERT_EQ(arms->size(), engines.size());
+      for (size_t k = 0; k < engines.size(); ++k) {
+        const RunningStats want = ReferenceSaving(*engines[k], *eval_jobs_, stats,
+                                                  approach, objective, mtbf);
+        ASSERT_EQ(want.count(), NumEvalJobs());
+        EXPECT_EQ((*arms)[k].count(), want.count()) << "arm " << k;
+        EXPECT_EQ((*arms)[k].mean(), want.mean()) << "arm " << k;
+        EXPECT_EQ((*arms)[k].sum(), want.sum()) << "arm " << k;
+      }
+      const RunningStats want = ReferenceSaving(*engines[0], *eval_jobs_, stats,
+                                                approach, objective, mtbf);
+      EXPECT_EQ(swept->at(approach).mean(), want.mean());
+      auto single = tester.EvaluateApproach(*eval_jobs_, stats, approach, objective);
+      ASSERT_TRUE(single.ok());
+      EXPECT_EQ(single->mean(), want.mean());
+    }
   }
 }
 

@@ -96,8 +96,8 @@ TEST_F(PipelineFixture, StackedTtlBeatsRawSimulatorTtl) {
   auto stats = repo_->StatsBefore(4);
   std::vector<double> truth, stacked, raw;
   for (const auto& job : test_jobs) {
-    auto c_raw = pipeline_->BuildCosts(job, CostSource::kMlSimulator, stats);
-    auto c_stk = pipeline_->BuildCosts(job, CostSource::kMlStacked, stats);
+    auto c_raw = pipeline_->engine().BuildCosts(job, CostSource::kMlSimulator, stats);
+    auto c_stk = pipeline_->engine().BuildCosts(job, CostSource::kMlStacked, stats);
     ASSERT_TRUE(c_raw.ok());
     ASSERT_TRUE(c_stk.ok());
     for (size_t i = 0; i < job.graph.num_stages(); ++i) {
@@ -114,19 +114,19 @@ TEST_F(PipelineFixture, BuildCostsShapesAndSemantics) {
   for (CostSource src :
        {CostSource::kTruth, CostSource::kOptimizerEstimates, CostSource::kConstant,
         CostSource::kMlSimulator, CostSource::kMlStacked}) {
-    auto costs = pipeline_->BuildCosts(job, src);
+    auto costs = pipeline_->engine().BuildCosts(job, src);
     ASSERT_TRUE(costs.ok());
     EXPECT_TRUE(costs->Validate(job.graph).ok());
   }
   // Truth source must echo ground truth exactly.
-  auto truth = pipeline_->BuildCosts(job, CostSource::kTruth);
+  auto truth = pipeline_->engine().BuildCosts(job, CostSource::kTruth);
   ASSERT_TRUE(truth.ok());
   for (size_t i = 0; i < job.graph.num_stages(); ++i) {
     EXPECT_DOUBLE_EQ(truth->ttl[i], job.truth[i].ttl);
     EXPECT_DOUBLE_EQ(truth->output_bytes[i], job.truth[i].output_bytes);
   }
   // Constant source: all outputs equal.
-  auto cc = pipeline_->BuildCosts(job, CostSource::kConstant);
+  auto cc = pipeline_->engine().BuildCosts(job, CostSource::kConstant);
   ASSERT_TRUE(cc.ok());
   for (double o : cc->output_bytes) EXPECT_DOUBLE_EQ(o, 1.0);
 }
@@ -134,26 +134,23 @@ TEST_F(PipelineFixture, BuildCostsShapesAndSemantics) {
 TEST_F(PipelineFixture, UntrainedPipelineRejectsMlSources) {
   PhoebePipeline fresh;
   const auto& job = repo_->Day(4).front();
-  EXPECT_FALSE(fresh.BuildCosts(job, CostSource::kMlStacked).ok());
+  EXPECT_FALSE(fresh.engine().BuildCosts(job, CostSource::kMlStacked).ok());
   // But truth/constant sources work untrained.
-  EXPECT_TRUE(fresh.BuildCosts(job, CostSource::kTruth).ok());
-  EXPECT_TRUE(fresh.BuildCosts(job, CostSource::kConstant).ok());
+  EXPECT_TRUE(fresh.engine().BuildCosts(job, CostSource::kTruth).ok());
+  EXPECT_TRUE(fresh.engine().BuildCosts(job, CostSource::kConstant).ok());
 }
 
-TEST_F(PipelineFixture, DecideProducesValidCutAndTimings) {
+TEST_F(PipelineFixture, DecideJobProducesValidCut) {
   const auto& jobs = repo_->Day(4);
   const workload::JobInstance* big = nullptr;
   for (const auto& j : jobs) {
     if (!big || j.graph.num_stages() > big->graph.num_stages()) big = &j;
   }
   for (Objective obj : {Objective::kTempStorage, Objective::kRecovery}) {
-    auto d = pipeline_->Decide(*big, obj);
+    auto d = pipeline_->engine().DecideJob(*big, pipeline_->inference_stats(), {obj});
     ASSERT_TRUE(d.ok());
-    EXPECT_GE(d->lookup_seconds, 0.0);
-    EXPECT_GE(d->scoring_seconds, 0.0);
-    EXPECT_GE(d->optimize_seconds, 0.0);
-    if (!d->cut.cut.empty()) {
-      EXPECT_EQ(d->cut.cut.before_cut.size(), big->graph.num_stages());
+    if (!d->combined.cut.empty()) {
+      EXPECT_EQ(d->combined.cut.before_cut.size(), big->graph.num_stages());
     }
   }
 }

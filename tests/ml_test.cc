@@ -189,6 +189,9 @@ TEST(GbdtTest, FromTextRejectsGarbage) {
   EXPECT_FALSE(GbdtRegressor::FromText("").ok());
   EXPECT_FALSE(GbdtRegressor::FromText("not a model").ok());
   EXPECT_FALSE(GbdtRegressor::FromText("gbdt 2 1 0.5\ntree 1\n").ok());
+  // A number field that is not a number is an error, never a silent 0.
+  EXPECT_FALSE(GbdtRegressor::FromText("gbdt 1 0 abc\n").ok());
+  EXPECT_FALSE(GbdtRegressor::FromText("gbdt 1 1 0.5\ntree 1\nnode -1 0 -1 -1 xyz\n").ok());
 }
 
 // Parameterized sweep: the learner converges across hyperparameter corners.

@@ -1,5 +1,5 @@
 // Serialization round-trip tests: ML models, historic statistics, stage cost
-// predictors, the TTL estimator, and whole-pipeline Save/Load.
+// predictors, the TTL estimator, and the whole-pipeline bundle.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -43,6 +43,9 @@ TEST(RidgeSerializationTest, RejectsGarbage) {
   EXPECT_FALSE(ml::RidgeRegressor::FromText("").ok());
   EXPECT_FALSE(ml::RidgeRegressor::FromText("gbdt 1 2 3").ok());
   EXPECT_FALSE(ml::RidgeRegressor::FromText("ridge 3 0.5\nw 1\n").ok());  // truncated
+  // A number field that is not a number is an error, never a silent 0.
+  EXPECT_FALSE(ml::RidgeRegressor::FromText("ridge 1 abc\nw 1\n").ok());
+  EXPECT_FALSE(ml::RidgeRegressor::FromText("ridge 1 0.5\nw xyz\n").ok());
 }
 
 TEST(MlpSerializationTest, RoundTrip) {
@@ -62,6 +65,11 @@ TEST(MlpSerializationTest, RoundTrip) {
 TEST(MlpSerializationTest, RejectsGarbage) {
   EXPECT_FALSE(ml::MlpRegressor::FromText("").ok());
   EXPECT_FALSE(ml::MlpRegressor::FromText("mlp 2 1 0 1\nnorm 0 1\n").ok());
+  // Garbage in the header's target mean, a norm, a weight.
+  EXPECT_FALSE(ml::MlpRegressor::FromText("mlp 1 0 abc 1\nnorm 0 1\n").ok());
+  EXPECT_FALSE(ml::MlpRegressor::FromText("mlp 1 0 0 1\nnorm 0 nan\n").ok());
+  EXPECT_FALSE(
+      ml::MlpRegressor::FromText("mlp 1 1 0 1\nnorm 0 1\nlayer 1 1\nxyz\n0\n").ok());
 }
 
 class CorePersistenceTest : public ::testing::Test {
@@ -109,6 +117,8 @@ TEST_F(CorePersistenceTest, HistoricStatsRoundTrip) {
 TEST_F(CorePersistenceTest, HistoricStatsRejectsGarbage) {
   EXPECT_FALSE(telemetry::HistoricStats::FromText("").ok());
   EXPECT_FALSE(telemetry::HistoricStats::FromText("historic_stats 1 0\n").ok());
+  EXPECT_FALSE(
+      telemetry::HistoricStats::FromText("historic_stats 0 0\nglobal abc 1 2 3\n").ok());
 }
 
 TEST_F(CorePersistenceTest, PredictorRoundTrip) {
@@ -135,6 +145,18 @@ TEST_F(CorePersistenceTest, PredictorRejectsMismatchedTarget) {
   EXPECT_FALSE(wrong.LoadFromText(text).ok());
 }
 
+TEST_F(CorePersistenceTest, PredictorRejectsGarbageCalibration) {
+  // The header's last token is the general model's calibration factor.
+  std::string text = pipeline_->exec_predictor().ToText();
+  const size_t eol = text.find('\n');
+  const size_t last = text.rfind(' ', eol);
+  ASSERT_NE(last, std::string::npos);
+  text.replace(last + 1, eol - last - 1, "abc");
+  core::StageCostPredictor restored(core::PhoebePipeline::DefaultConfig().exec_predictor,
+                                    core::Target::kExecSeconds);
+  EXPECT_FALSE(restored.LoadFromText(text).ok());
+}
+
 TEST_F(CorePersistenceTest, TtlEstimatorRoundTrip) {
   std::string text = pipeline_->ttl_estimator().ToText();
   core::TtlEstimator restored;
@@ -154,38 +176,40 @@ TEST_F(CorePersistenceTest, TtlEstimatorRoundTrip) {
 
 TEST_F(CorePersistenceTest, PipelineSaveLoadRoundTrip) {
   const phoebe::testing::ScratchDir scratch;
-  const std::string dir = scratch.File("persist_test");
-  ASSERT_TRUE(pipeline_->Save(dir).ok());
-  for (const char* f : {"exec.model", "size.model", "ttl.model", "stats.txt"}) {
-    EXPECT_TRUE(std::filesystem::exists(dir + "/" + f)) << f;
-  }
+  const std::string path = scratch.File("persist_test.phoebe");
+  ASSERT_TRUE(pipeline_->SaveBundle(path).ok());
+  EXPECT_TRUE(std::filesystem::exists(path));
 
   core::PhoebePipeline loaded;
-  ASSERT_TRUE(loaded.Load(dir).ok());
+  ASSERT_TRUE(loaded.LoadBundle(path).ok());
   EXPECT_TRUE(loaded.trained());
+  EXPECT_EQ(loaded.bundle()->checksum(), pipeline_->bundle()->checksum());
 
   // Decisions from the loaded pipeline must be identical.
   for (const auto& job : repo_->Day(3)) {
     if (job.graph.num_stages() < 2) continue;
-    auto a = pipeline_->Decide(job, core::Objective::kTempStorage);
-    auto b = loaded.Decide(job, core::Objective::kTempStorage);
+    auto a = pipeline_->engine().DecideJob(job, pipeline_->inference_stats(), {});
+    auto b = loaded.engine().DecideJob(job, loaded.inference_stats(), {});
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->cut.cut.before_cut, b->cut.cut.before_cut);
-    EXPECT_DOUBLE_EQ(a->cut.objective, b->cut.objective);
+    EXPECT_EQ(a->combined.cut.before_cut, b->combined.cut.before_cut);
+    EXPECT_DOUBLE_EQ(a->combined.objective, b->combined.objective);
   }
 }
 
 TEST_F(CorePersistenceTest, SaveUntrainedFails) {
   const phoebe::testing::ScratchDir scratch;
+  const std::string path = scratch.File("should_not_exist.phoebe");
   core::PhoebePipeline fresh;
-  EXPECT_FALSE(fresh.Save(scratch.File("should_not_exist")).ok());
+  EXPECT_FALSE(fresh.SaveBundle(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-TEST_F(CorePersistenceTest, LoadFromMissingDirFails) {
+TEST_F(CorePersistenceTest, LoadBundleFromMissingFileFails) {
   const phoebe::testing::ScratchDir scratch;
   core::PhoebePipeline fresh;
-  EXPECT_FALSE(fresh.Load(scratch.File("definitely_missing_dir")).ok());
+  EXPECT_FALSE(fresh.LoadBundle(scratch.File("definitely_missing.phoebe")).ok());
+  EXPECT_FALSE(fresh.trained());
 }
 
 }  // namespace

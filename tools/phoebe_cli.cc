@@ -255,7 +255,7 @@ int CmdTrain(int argc, char** argv) {
   for (const auto& job : jobs) {
     auto exec = t.phoebe.exec_predictor().PredictJob(job, stats);
     auto out = t.phoebe.size_predictor().PredictJob(job, stats);
-    auto costs = t.phoebe.BuildCosts(job, core::CostSource::kMlStacked, stats);
+    auto costs = t.phoebe.engine().BuildCosts(job, core::CostSource::kMlStacked, stats);
     costs.status().Check();
     for (size_t i = 0; i < job.graph.num_stages(); ++i) {
       et.push_back(job.truth[i].exec_seconds);
@@ -340,30 +340,28 @@ int CmdDecide(int argc, char** argv) {
     return 1;
   }
   const auto& job = jobs[static_cast<size_t>(index)];
-  auto decision = t.phoebe.Decide(job, *objective);
+  auto decision =
+      t.phoebe.engine().DecideJob(job, t.phoebe.inference_stats(), {*objective});
   decision.status().Check();
+  const core::CutResult& cut = decision->combined;
 
   std::printf("job '%s' (%zu stages, runtime %s)\n", job.job_name.c_str(),
               job.graph.num_stages(), HumanDuration(job.JobRuntime()).c_str());
-  std::printf("overhead: lookup %.2f ms, scoring %.2f ms, optimize %.3f ms\n",
-              1e3 * decision->lookup_seconds, 1e3 * decision->scoring_seconds,
-              1e3 * decision->optimize_seconds);
-  if (decision->cut.cut.empty()) {
+  if (cut.cut.empty()) {
     std::printf("no profitable checkpoint for this job\n");
     return 0;
   }
   size_t before = 0;
-  for (bool b : decision->cut.cut.before_cut) before += b ? 1 : 0;
+  for (bool b : cut.cut.before_cut) before += b ? 1 : 0;
   std::printf("cut: %zu of %zu stages before the cut; est. global storage %s\n",
-              before, job.graph.num_stages(),
-              HumanBytes(decision->cut.global_bytes).c_str());
+              before, job.graph.num_stages(), HumanBytes(cut.global_bytes).c_str());
   std::printf("checkpoint stages:\n");
-  for (dag::StageId u : cluster::CheckpointStages(job.graph, decision->cut.cut)) {
+  for (dag::StageId u : cluster::CheckpointStages(job.graph, cut.cut)) {
     std::printf("  %-28s output %s\n", job.graph.stage(u).name.c_str(),
                 HumanBytes(job.truth[static_cast<size_t>(u)].output_bytes).c_str());
   }
   std::printf("realized temp saving (ex-post): %.1f%%\n",
-              100.0 * core::RealizedTempSaving(job, decision->cut.cut));
+              100.0 * core::RealizedTempSaving(job, cut.cut));
   return 0;
 }
 
@@ -383,7 +381,7 @@ int CmdExplain(int argc, char** argv) {
     return 1;
   }
   const auto& job = jobs[static_cast<size_t>(index)];
-  auto costs = t.phoebe.BuildCosts(job, core::CostSource::kMlStacked);
+  auto costs = t.phoebe.engine().BuildCosts(job, core::CostSource::kMlStacked);
   costs.status().Check();
   auto cut = core::OptimizeTempStorage(job.graph, *costs);
   cut.status().Check();
@@ -414,11 +412,11 @@ int CmdDot(int argc, char** argv) {
     return 1;
   }
   const auto& job = jobs[static_cast<size_t>(index)];
-  auto decision = t.phoebe.Decide(job, core::Objective::kTempStorage);
+  auto decision = t.phoebe.engine().DecideJob(job, t.phoebe.inference_stats(), {});
   decision.status().Check();
 
   dag::DotOptions opt;
-  opt.before_cut = decision->cut.cut.before_cut;
+  opt.before_cut = decision->combined.cut.before_cut;
   opt.annotations.resize(job.graph.num_stages());
   for (size_t i = 0; i < job.graph.num_stages(); ++i) {
     opt.annotations[i] = HumanBytes(job.truth[i].output_bytes);
@@ -497,28 +495,12 @@ int CmdTraceInfo(int argc, char** argv) {
   return 0;
 }
 
-int CmdSaveModels(int argc, char** argv) {
-  ArgParser p("phoebe_cli save-models", "Train, then persist the models to a directory.");
-  AddTrainFlags(p);
-  p.AddString("dir", "phoebe_models", "output directory for the model files");
-  int code;
-  if (!ParseOrReport(p, argc, argv, &code)) return code;
-
-  Trained t = TrainFromArgs(p);
-  std::string dir = p.GetString("dir");
-  t.phoebe.Save(dir).Check();
-  std::fprintf(stderr, "saved trained models to %s/\n", dir.c_str());
-  return 0;
-}
-
-/// The day-loop flags `fleet` and `fleet-ab` share: the FleetConfig,
-/// telemetry export, and the shard/merge split.
-void AddFleetFlags(ArgParser& p) {
-  p.AddInt("days", 1, "number of fleet days to run");
-  p.AddInt("threads", 1, "decision threads (0 = all cores; reports are "
+/// The FleetConfig flags `fleet`, `fleet-ab` and `lifecycle` share, plus
+/// the telemetry export.
+void AddFleetConfigFlags(ArgParser& p) {
+  p.AddInt("threads", 1, "decision threads (0 = all cores; output is "
            "byte-identical for any value)");
   p.AddInt("num-cuts", 1, "checkpoint cuts per job");
-  p.AddDouble("budget-gb", 0.0, "global storage budget in GB (0 = unlimited)");
   p.AddString("objective", "temp", "optimization objective: temp|recovery");
   p.AddInt("template-cache", 0, "recurring-template decision cache capacity "
            "(0 = disabled)");
@@ -526,6 +508,14 @@ void AddFleetFlags(ArgParser& p) {
            "(0 = exact, byte-neutral)");
   p.AddString("metrics", "", "write per-day telemetry JSON lines (and a final "
               "cumulative 'run' line) to this file");
+}
+
+/// The day-loop flags `fleet` and `fleet-ab` add to those: the day count,
+/// the storage budget, and the shard/merge split.
+void AddFleetFlags(ArgParser& p) {
+  p.AddInt("days", 1, "number of fleet days to run");
+  AddFleetConfigFlags(p);
+  p.AddDouble("budget-gb", 0.0, "global storage budget in GB (0 = unlimited)");
   p.AddString("shard", "", "I/N decide-only mode: decide days d with d%N==I "
               "and write a blob to --out");
   p.AddString("out", "", "output blob path for --shard");
@@ -533,13 +523,13 @@ void AddFleetFlags(ArgParser& p) {
               "byte-identical reports");
 }
 
-/// The FleetConfig the shared fleet flags describe (metrics left unset).
-Result<core::FleetConfig> FleetConfigFromFlags(const ArgParser& p) {
+/// The FleetConfig the shared flags describe under a `budget_gb` global
+/// storage budget (0 = unlimited); metrics left unset.
+Result<core::FleetConfig> FleetConfigFromFlags(const ArgParser& p, double budget_gb) {
   core::FleetConfig cfg;
   PHOEBE_ASSIGN_OR_RETURN(cfg.objective, ParseObjective(p.GetString("objective")));
   cfg.num_cuts = std::max(1, p.GetInt("num-cuts"));
   cfg.num_threads = p.GetInt("threads");
-  const double budget_gb = p.GetDouble("budget-gb");
   if (budget_gb > 0.0) cfg.storage_budget_bytes = budget_gb * 1e9;
   // --template-cache N enables the recurring-template decision cache with
   // capacity N; --cache-bps sets the input-size drift tolerance (0 = exact).
@@ -684,7 +674,8 @@ int CmdFleet(int argc, char** argv) {
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
 
-  Result<core::FleetConfig> cfg = FleetConfigFromFlags(p);
+  const double budget_gb = p.GetDouble("budget-gb");
+  Result<core::FleetConfig> cfg = FleetConfigFromFlags(p, budget_gb);
   Result<ShardTarget> shard = ParseShardTarget(p);
   for (const Status& st : {cfg.status(), shard.status()}) {
     if (!st.ok()) {
@@ -695,7 +686,6 @@ int CmdFleet(int argc, char** argv) {
   MetricsOutput metrics;
   if (!metrics.Open(p.GetString("metrics"))) return 1;
   cfg->metrics = metrics.registry.get();
-  const double budget_gb = p.GetDouble("budget-gb");
 
   const int num_days = std::max(1, p.GetInt("days"));
   Trained t = TrainFromArgs(p, num_days);
@@ -918,7 +908,8 @@ int CmdFleetAb(int argc, char** argv) {
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
 
-  Result<core::FleetConfig> base_cfg = FleetConfigFromFlags(p);
+  const double budget_gb = p.GetDouble("budget-gb");
+  Result<core::FleetConfig> base_cfg = FleetConfigFromFlags(p, budget_gb);
   Result<ShardTarget> shard = ParseShardTarget(p);
   for (const Status& st : {base_cfg.status(), shard.status()}) {
     if (!st.ok()) {
@@ -929,7 +920,6 @@ int CmdFleetAb(int argc, char** argv) {
   MetricsOutput metrics;
   if (!metrics.Open(p.GetString("metrics"))) return 1;
   obs::MetricsRegistry* registry = metrics.registry.get();
-  const double budget_gb = p.GetDouble("budget-gb");
 
   // Workload + history: the arm-independent half of the day loop, generated
   // exactly once no matter how many arms decide it.
@@ -1202,14 +1192,7 @@ int CmdLifecycle(int argc, char** argv) {
   p.AddInt("policy-min-history", 2, "completed days required before the "
            "bootstrap training");
   p.AddInt("backtest-window", 3, "trailing days of the canary backtest");
-  p.AddString("objective", "temp", "optimization objective: temp|recovery");
-  p.AddInt("threads", 1, "decision threads (0 = all cores; artifacts are "
-           "byte-identical for any value)");
-  p.AddInt("num-cuts", 1, "checkpoint cuts per job");
-  p.AddInt("template-cache", 0, "recurring-template decision cache capacity "
-           "(0 = disabled; exact mode is byte-neutral)");
-  p.AddInt("cache-bps", 0, "cache input-size drift tolerance in basis points "
-           "(0 = exact)");
+  AddFleetConfigFlags(p);
   p.AddInt("retention-days", 0, "evict repository days older than this "
            "(0 = keep everything; must cover the deepest window)");
   p.AddBool("shadow", "record the candidate's would-be decisions as shard-blob "
@@ -1218,8 +1201,6 @@ int CmdLifecycle(int argc, char** argv) {
               "under while the incumbent keeps its own: default|small|crippled "
               "(crippled always loses the canary — the rejection-path demo)");
   p.AddString("out-dir", "", "artifact directory (required)");
-  p.AddString("metrics", "", "write per-day lifecycle.* telemetry JSON lines "
-              "(and a final cumulative 'run' line) to this file");
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
 
@@ -1228,23 +1209,14 @@ int CmdLifecycle(int argc, char** argv) {
     std::fprintf(stderr, "lifecycle requires --out-dir <directory>\n");
     return 2;
   }
-  auto objective = ParseObjective(p.GetString("objective"));
-  if (!objective.ok()) {
-    std::fprintf(stderr, "%s\n", objective.status().ToString().c_str());
+  // The lifecycle loop serves without a storage budget.
+  Result<core::FleetConfig> fleet = FleetConfigFromFlags(p, /*budget_gb=*/0.0);
+  if (!fleet.ok()) {
+    std::fprintf(stderr, "%s\n", fleet.status().ToString().c_str());
     return 2;
   }
-
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::ofstream metrics_file;
-  const std::string metrics_path = p.GetString("metrics");
-  if (!metrics_path.empty()) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    metrics_file.open(metrics_path, std::ios::binary);
-    if (!metrics_file) {
-      std::fprintf(stderr, "cannot open '%s'\n", metrics_path.c_str());
-      return 1;
-    }
-  }
+  MetricsOutput metrics;
+  if (!metrics.Open(p.GetString("metrics"))) return 1;
 
   lifecycle::LifecycleConfig cfg;
   cfg.policy.min_exec_r2 = p.GetDouble("policy-min-r2");
@@ -1252,15 +1224,7 @@ int CmdLifecycle(int argc, char** argv) {
   cfg.policy.train_window_days = p.GetInt("policy-train-window");
   cfg.policy.min_history_days = p.GetInt("policy-min-history");
   cfg.backtest_window_days = p.GetInt("backtest-window");
-  cfg.fleet.objective = *objective;
-  cfg.fleet.num_threads = p.GetInt("threads");
-  cfg.fleet.num_cuts = std::max(1, p.GetInt("num-cuts"));
-  int cache_capacity = p.GetInt("template-cache");
-  if (cache_capacity > 0) {
-    cfg.fleet.template_cache.enabled = true;
-    cfg.fleet.template_cache.capacity = static_cast<size_t>(cache_capacity);
-    cfg.fleet.template_cache.quantize_bps = std::max(0, p.GetInt("cache-bps"));
-  }
+  cfg.fleet = *fleet;
   cfg.shadow = p.GetBool("shadow");
   const std::string candidate = p.GetString("candidate-pipeline");
   if (candidate == "small") {
@@ -1274,7 +1238,7 @@ int CmdLifecycle(int argc, char** argv) {
   }
   cfg.retention_days = p.GetInt("retention-days");
   cfg.out_dir = out_dir;
-  cfg.metrics = registry.get();
+  cfg.metrics = metrics.registry.get();
   // The scenario shapes both halves of the loop: MakeGen below generates the
   // shaped workload, and a failure-storm's MTBF spikes reach the canary
   // backtest through the per-day factor (a no-op ×1.0 for other presets).
@@ -1294,7 +1258,7 @@ int CmdLifecycle(int argc, char** argv) {
   int promotions = 0, rejections = 0;
   for (int d = 0; d < num_days; ++d) {
     obs::MetricsSnapshot day_before;
-    if (registry) day_before = registry->Snapshot();
+    if (metrics.registry) day_before = metrics.registry->Snapshot();
     repo.AddDay(d, gen.GenerateDay(d)).Check();
     auto report = driver.OnDayCompleted(&repo, d);
     if (!report.ok()) {
@@ -1324,12 +1288,7 @@ int CmdLifecycle(int argc, char** argv) {
       std::printf("  shadow: %d of %d job records differ\n",
                   report->shadow_differing, report->shadow_jobs);
     }
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(
-                          obs::SnapshotDelta(day_before, registry->Snapshot()),
-                          "day", d)
-                   << "\n";
-    }
+    metrics.DayLine(day_before, d);
   }
   std::printf("lifecycle: %d day(s), %zu retrain(s), %d promoted, %d rejected; "
               "serving %08x\n",
@@ -1337,11 +1296,10 @@ int CmdLifecycle(int argc, char** argv) {
               rejections, driver.incumbent_checksum());
   std::fprintf(stderr, "artifacts in %s/ (promotion.log, day_reports.jsonl, "
                "current.phoebe)\n", out_dir.c_str());
-  if (registry) {
-    metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1)
-                 << "\n";
-    metrics_file.close();
-    std::fprintf(stderr, "wrote telemetry to %s\n", metrics_path.c_str());
+  if (metrics.registry) {
+    metrics.RunLine();
+    metrics.file.close();
+    std::fprintf(stderr, "wrote telemetry to %s\n", metrics.config.output_path.c_str());
   }
   return 0;
 }
@@ -1621,8 +1579,7 @@ void Usage() {
       "  serve-client one-shot client: ping, decide, reload, shutdown\n"
       "  dot          Graphviz of the job + cut\n"
       "  explain      why this cut was chosen (--json for machine output)\n"
-      "  trace-export / trace-info   text trace round trip\n"
-      "  save-models  train, then persist models to a directory\n",
+      "  trace-export / trace-info   text trace round trip\n",
       stderr);
 }
 
@@ -1649,7 +1606,6 @@ int main(int argc, char** argv) {
   if (cmd == "explain") return CmdExplain(argc, argv);
   if (cmd == "trace-export") return CmdTraceExport(argc, argv);
   if (cmd == "trace-info") return CmdTraceInfo(argc, argv);
-  if (cmd == "save-models") return CmdSaveModels(argc, argv);
   if (cmd == "--help" || cmd == "help") {
     Usage();
     return 0;
